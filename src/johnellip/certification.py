@@ -44,6 +44,9 @@ WEIGHT_SUM_RTOL = 1e-6
 CONTAINMENT_SLACK = 1e-9
 
 _REFRESH_EVERY = 256
+# Elements of one A_blk @ [x | u] block in containment_check; its rows follow
+# from the sample count, so scratch memory stays near 8 MiB at any m.
+_CONTAINMENT_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,18 @@ def certify(
     containment_samples: int = 1000,
     containment_seed: int = 0,
 ) -> CertificateReport:
-    """Recompute scores from scratch and grade ``w`` against the target."""
-    if target_epsilon <= 0.0:
-        raise DomainError(f"target_epsilon must be positive, got {target_epsilon!r}")
+    """Recompute scores from scratch and grade ``w`` against the target.
+
+    ``containment_samples=0`` skips the sampled containment checks.
+    """
+    if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
+        raise DomainError(
+            f"target_epsilon must be finite and positive, got {target_epsilon!r}"
+        )
+    if containment_samples < 0:
+        raise DomainError(
+            f"containment_samples must be >= 0, got {containment_samples!r}"
+        )
     w = validate_weights(w, inst.m)
     n = inst.n
 
@@ -163,6 +175,10 @@ def containment_check(
     requires ``y^T Q y <= n + slack``.  One Gaussian block of shape
     ``(n, samples)`` is drawn from ``default_rng(seed)``, column j belonging
     to sample j.
+
+    Both tests need only the column maxima of ``|A [x | u]|``, so A is read
+    once, in row blocks of about ``_CONTAINMENT_BLOCK_ELEMENTS`` products;
+    scratch memory is one block plus O(n * samples), never m x samples.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples!r}")
@@ -180,11 +196,15 @@ def containment_check(
     # x = u / (sqrt(1+eps_hat) * ||L^T u||), so x^T Q x = 1/(1+eps_hat).
     lt_u = quad.L.T @ u
     scale = np.sqrt(1.0 + eps_hat) * np.linalg.norm(lt_u, axis=0)
-    x = u / scale
-    inner_inf = np.abs(inst.matrix @ x).max(axis=0)
+    xu = np.hstack([u / scale, u])
+    col_inf = np.zeros(2 * samples)
+    rows = max(1, _CONTAINMENT_BLOCK_ELEMENTS // (2 * samples))
+    for start in range(0, inst.m, rows):
+        block = inst.matrix[start:start + rows] @ xu
+        np.maximum(col_inf, np.abs(block, out=block).max(axis=0), out=col_inf)
+    inner_inf, au_inf = col_inf[:samples], col_inf[samples:]
     inner_violations = int(np.count_nonzero(inner_inf > 1.0 + CONTAINMENT_SLACK))
 
-    au_inf = np.abs(inst.matrix @ u).max(axis=0)
     y = u / au_inf
     lt_y = quad.L.T @ y
     outer_val = np.einsum("ij,ij->j", lt_y, lt_y)

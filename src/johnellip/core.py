@@ -46,7 +46,8 @@ RANK_PIVOT_RTOL = 1e-10
 # A Cholesky pivot at or below GRAM_PIVOT_FLOOR * trace(Q) / n means the
 # weighted Gram matrix has effectively lost rank.
 GRAM_PIVOT_FLOOR = 1e-14
-# Row-block size when densifying CSR slices for triangular solves.
+# Row-block size of the CSR x dense products behind sparse scores; bounds
+# their scratch memory at _SPARSE_BLOCK_ROWS x n.
 _SPARSE_BLOCK_ROWS = 8192
 
 
@@ -232,18 +233,22 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
 def _leverage_from_factor(inst: PolytopeInstance, lower: np.ndarray) -> np.ndarray:
     """Scores ``sigma_i = ||L^{-1} a_i||^2`` given the Cholesky factor of Q.
 
-    One batched forward triangular solve; the inverse is never formed and
-    the squared norm keeps every score nonnegative in floating point.
+    Dense A: one batched forward triangular solve.  CSR A: ``L^{-T}`` is
+    formed once (an n x n solve) and each row block is multiplied by it as
+    a CSR x dense product, O(nnz n) in all, without densifying A.  Either
+    way the squared norm keeps every score nonnegative in floating point.
     """
     if not inst.is_sparse:
         x = solve_triangular(lower, inst.matrix.T, lower=True, check_finite=False)
         return np.einsum("ij,ij->j", x, x)
+    inv_t = np.ascontiguousarray(
+        solve_triangular(lower, np.eye(inst.n), lower=True, check_finite=False).T
+    )
     sigma = np.empty(inst.m)
     for start in range(0, inst.m, _SPARSE_BLOCK_ROWS):
         stop = min(start + _SPARSE_BLOCK_ROWS, inst.m)
-        block = inst.matrix[start:stop, :].toarray()
-        x = solve_triangular(lower, block.T, lower=True, check_finite=False)
-        sigma[start:stop] = np.einsum("ij,ij->j", x, x)
+        x = inst.matrix[start:stop, :] @ inv_t
+        sigma[start:stop] = np.einsum("ij,ij->i", x, x)
     return sigma
 
 

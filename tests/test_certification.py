@@ -6,9 +6,11 @@ so agreement is evidence neither implementation is self-consistent-but-wrong.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import DIAMOND_OPTIMUM, gaussian, reference_logdet, reference_scores
 from johnellip import (
@@ -69,7 +71,7 @@ class TestCertify:
         assert not report.weight_sum_ok
         assert not report.passed
 
-    @pytest.mark.parametrize("target", [0.0, -1.0])
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
     def test_bad_target(self, diamond, target):
         with pytest.raises(DomainError):
             certify(diamond, DIAMOND_OPTIMUM, target)
@@ -78,6 +80,10 @@ class TestCertify:
         report = certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=0)
         assert report.containment_samples == 0
         assert report.containment_inner_pass and report.containment_outer_pass
+
+    def test_negative_samples_rejected(self, diamond):
+        with pytest.raises(DomainError):
+            certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=-5)
 
 
 class TestDualityGap:
@@ -140,6 +146,59 @@ class TestContainment:
     def test_zero_samples_rejected(self, diamond):
         with pytest.raises(DomainError):
             containment_check(diamond, DIAMOND_OPTIMUM, 0)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_violation_counts_match_unblocked_reference(self, storage):
+        # Unit rows in R^3 with mass-3n weights: y^T Q y can reach
+        # sum(w) = 9 > n, so some outer tests fail.  4000 samples put
+        # fewer than 300 rows in a block, so the count spans several blocks.
+        rng = np.random.default_rng(7)
+        dense = rng.standard_normal((300, 3))
+        if storage == "csr":
+            dense[rng.random((300, 3)) < 0.3] = 0.0
+            dense[np.flatnonzero(~np.any(dense != 0.0, axis=1)), 0] = 1.0
+        dense /= np.linalg.norm(dense, axis=1)[:, None]
+        w = rng.uniform(0.5, 1.5, 300)
+        w *= 9.0 / w.sum()
+        inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
+        result = containment_check(inst, w, 4000, seed=11)
+        inner, outer = reference_containment_counts(dense, w, 4000, seed=11)
+        assert outer > 0
+        assert result.inner_violations == inner
+        assert result.outer_violations == outer
+        assert result.outer_pass == (outer == 0)
+        assert result.samples == 4000
+
+    def test_memory_does_not_grow_with_m_times_samples(self):
+        # A dense m x samples block would take 20000 * 1000 * 8 B = 153 MiB.
+        inst = gaussian(20000, 20, seed=4)
+        w = np.full(20000, 20 / 20000)
+        tracemalloc.start()
+        try:
+            result = containment_check(inst, w, 1000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.inner_pass and result.outer_pass
+        assert peak < 32 * 2**20
+
+
+def reference_containment_counts(dense, w, samples, seed):
+    """Inner/outer violation counts from the documented draw, unblocked.
+
+    Uses the quadratic form of ``Q`` directly rather than its Cholesky
+    factor, and whole ``m x samples`` products.
+    """
+    n = dense.shape[1]
+    q = dense.T @ (dense * w[:, None])
+    eps_hat = reference_scores(dense, w).max() - 1.0
+    u = np.random.default_rng(seed).standard_normal((n, samples))
+    u /= np.linalg.norm(u, axis=0)
+    x = u / np.sqrt((1.0 + eps_hat) * np.einsum("ij,ij->j", u, q @ u))
+    inner = np.abs(dense @ x).max(axis=0) > 1.0 + 1e-9
+    y = u / np.abs(dense @ u).max(axis=0)
+    outer = np.einsum("ij,ij->j", y, q @ y) > n + 1e-9
+    return int(inner.sum()), int(outer.sum())
 
 
 class TestVolumeRatio:

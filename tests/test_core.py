@@ -206,12 +206,14 @@ class TestLeverageScores:
             total = float(np.dot(w, leverage_scores(inst, w)))
             assert abs(total - n) <= 1e-8 * n
 
-    def test_sparse_and_dense_agree(self):
+    # 16421 rows span two full CSR row blocks of 8192 plus a ragged tail.
+    @pytest.mark.parametrize("m, n", [(50, 4), (16421, 6)], ids=["50x4", "16421x6"])
+    def test_sparse_and_dense_agree(self, m, n):
         rng = np.random.default_rng(3)
-        dense = rng.standard_normal((50, 4))
-        dense[rng.random((50, 4)) < 0.6] = 0.0
+        dense = rng.standard_normal((m, n))
+        dense[rng.random((m, n)) < 0.6] = 0.0
         dense[np.flatnonzero(~np.any(dense != 0.0, axis=1))] = 1.0
-        w = rng.uniform(0.1, 2.0, 50)
+        w = rng.uniform(0.1, 2.0, m)
         sparse_inst = build_instance(sp.csr_array(dense))
         dense_inst = build_instance(dense)
         assert sparse_inst.is_sparse and not dense_inst.is_sparse
