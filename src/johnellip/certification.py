@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .core import (
+    EllipsoidQuadratic,
     PolytopeInstance,
     _leverage_from_factor,
     cholesky_of_weighted_gram,
-    leverage_scores,
     validate_weights,
 )
 from .errors import DomainError, NoConvergenceError
@@ -121,7 +120,7 @@ def certify(
     sum_ok = abs(weight_sum - n) <= WEIGHT_SUM_RTOL * n
 
     if containment_samples > 0:
-        cont = containment_check(inst, w, containment_samples, containment_seed)
+        cont = _containment(inst, quad, eps_hat, containment_samples, containment_seed)
     else:
         cont = ContainmentResult(True, True, 0, 0, 0)
 
@@ -154,13 +153,13 @@ def duality_gap(inst: PolytopeInstance, w, oracle: "OracleSolution | None" = Non
     ``(gap, logdet difference against the reference weights)``.
     """
     w = validate_weights(w, inst.m)
-    sigma = leverage_scores(inst, w)
+    quad = cholesky_of_weighted_gram(inst, w)
+    sigma = _leverage_from_factor(inst, quad.L)
     gap = inst.n * math.log(float(sigma.max()))
     if oracle is None:
         return gap
-    mine = cholesky_of_weighted_gram(inst, w).logdet
     refs = cholesky_of_weighted_gram(inst, oracle.weights).logdet
-    return gap, refs - mine
+    return gap, refs - quad.logdet
 
 
 def containment_check(
@@ -183,12 +182,21 @@ def containment_check(
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples!r}")
     w = validate_weights(w, inst.m)
-    n = inst.n
-
     quad = cholesky_of_weighted_gram(inst, w)
-    sigma = _leverage_from_factor(inst, quad.L)
-    eps_hat = float(sigma.max()) - 1.0
+    eps_hat = float(_leverage_from_factor(inst, quad.L).max()) - 1.0
+    return _containment(inst, quad, eps_hat, samples, seed)
 
+
+def _containment(
+    inst: PolytopeInstance,
+    quad: EllipsoidQuadratic,
+    eps_hat: float,
+    samples: int,
+    seed: int,
+) -> ContainmentResult:
+    # Body of containment_check, for callers that already hold Q(w)'s factor
+    # and eps_hat = max sigma(w) - 1.
+    n = inst.n
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n, samples))
     u /= np.linalg.norm(u, axis=0)
@@ -239,8 +247,8 @@ class OracleSolution:
 
 def _exact_state(inst: PolytopeInstance, w: np.ndarray):
     quad = cholesky_of_weighted_gram(inst, w)
-    inv = cho_solve((quad.L, True), np.eye(inst.n), check_finite=False)
-    inv = 0.5 * (inv + inv.T)
+    inv_l = np.linalg.inv(quad.L)
+    inv = inv_l.T @ inv_l  # numpy runs a.T @ a as a syrk: exactly symmetric
     sigma = _leverage_from_factor(inst, quad.L)
     return inv, sigma, quad.logdet
 

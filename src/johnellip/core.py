@@ -12,7 +12,10 @@ verification layer:
 * the penalized design objective ``sum(w) - logdet Q(w) - n``.
 
 Dense matrices are stored row-major, sparse ones in CSR.  All arrays are
-float64 and instances are immutable after construction.
+float64 and instances are immutable after construction.  Every dense BLAS
+and LAPACK call of the solvers and the verification layer goes through
+numpy; scipy's LAPACK is used once per instance, for the rank check in
+:func:`build_instance`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
+from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionError,
@@ -41,14 +45,15 @@ __all__ = [
     "validate_weights",
 ]
 
-# Relative pivot cutoff for the construction-time rank check on A^T A.
+# Relative pivot cutoff for the construction-time rank check on A^T A,
+# scaled to unit diagonal.
 RANK_PIVOT_RTOL = 1e-10
 # A Cholesky pivot at or below GRAM_PIVOT_FLOOR * trace(Q) / n means the
 # weighted Gram matrix has effectively lost rank.
 GRAM_PIVOT_FLOOR = 1e-14
-# Row-block size of the CSR x dense products behind sparse scores; bounds
-# their scratch memory at _SPARSE_BLOCK_ROWS x n.
-_SPARSE_BLOCK_ROWS = 8192
+# Row-block size of the products A[block] @ L^{-T} behind the scores; bounds
+# their scratch memory at _SCORE_BLOCK_ROWS x n for dense and CSR A alike.
+_SCORE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +130,9 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
     ZeroRowError
         Some row is identically zero.
     RankDeficientError
-        Column rank below n, judged by a pivoted Cholesky of ``A^T A`` with
-        relative pivot cutoff ``RANK_PIVOT_RTOL``.
+        Column rank below n, judged by a pivoted Cholesky of ``A^T A``
+        scaled to unit diagonal, with pivot cutoff ``RANK_PIVOT_RTOL * n``.
+        The scaling makes the verdict independent of column scale.
     """
     if sp.issparse(entries):
         a = sp.csr_array(entries, dtype=np.float64, copy=True)
@@ -175,7 +181,10 @@ def _check_full_column_rank(a) -> None:
     else:
         g = a.T @ a
     g = 0.5 * (g + g.T)
-    tol = RANK_PIVOT_RTOL * float(np.trace(g))
+    scale = np.sqrt(np.diag(g))
+    scale[scale == 0.0] = 1.0  # an all-zero column stays zero and fails below
+    g = g / scale[:, None] / scale[None, :]
+    tol = RANK_PIVOT_RTOL * g.shape[0]
     _, _, rank, info = lapack.dpstrf(g, tol=tol, lower=1)
     if info < 0:
         raise LinAlgError(f"dpstrf failed with info={info}")
@@ -217,7 +226,7 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     q = 0.5 * (q + q.T)
 
     try:
-        lower = cholesky(q, lower=True, check_finite=False)
+        lower = np.linalg.cholesky(q)
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(f"weighted Gram matrix is singular: {exc}") from exc
     pivots = np.diag(lower) ** 2
@@ -233,21 +242,17 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
 def _leverage_from_factor(inst: PolytopeInstance, lower: np.ndarray) -> np.ndarray:
     """Scores ``sigma_i = ||L^{-1} a_i||^2`` given the Cholesky factor of Q.
 
-    Dense A: one batched forward triangular solve.  CSR A: ``L^{-T}`` is
-    formed once (an n x n solve) and each row block is multiplied by it as
-    a CSR x dense product, O(nnz n) in all, without densifying A.  Either
-    way the squared norm keeps every score nonnegative in floating point.
+    ``L^{-T}`` is formed once (an n x n inverse) and each block of
+    ``_SCORE_BLOCK_ROWS`` rows of A, dense or CSR, is multiplied by it:
+    O(m n^2) dense, O(nnz n) sparse, with one block of scratch memory and
+    no copy of A.  The squared norm keeps every score nonnegative in
+    floating point.
     """
-    if not inst.is_sparse:
-        x = solve_triangular(lower, inst.matrix.T, lower=True, check_finite=False)
-        return np.einsum("ij,ij->j", x, x)
-    inv_t = np.ascontiguousarray(
-        solve_triangular(lower, np.eye(inst.n), lower=True, check_finite=False).T
-    )
+    inv_t = np.ascontiguousarray(np.linalg.inv(lower).T)
     sigma = np.empty(inst.m)
-    for start in range(0, inst.m, _SPARSE_BLOCK_ROWS):
-        stop = min(start + _SPARSE_BLOCK_ROWS, inst.m)
-        x = inst.matrix[start:stop, :] @ inv_t
+    for start in range(0, inst.m, _SCORE_BLOCK_ROWS):
+        stop = min(start + _SCORE_BLOCK_ROWS, inst.m)
+        x = inst.matrix[start:stop] @ inv_t
         sigma[start:stop] = np.einsum("ij,ij->i", x, x)
     return sigma
 

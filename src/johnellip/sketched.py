@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .core import PolytopeInstance, cholesky_of_weighted_gram, leverage_scores
 from .errors import DomainError
@@ -102,18 +101,20 @@ def _sketch_step(
 ) -> np.ndarray:
     """One sketched sweep: estimate ``w_i * sigma_i(w)`` for every row.
 
-    Computes ``S B`` first (rows x n), then solves against the Cholesky
-    factor of ``B^T B``; never forms an inverse.
+    Computes ``S B`` first (rows x n), then applies ``(B^T B)^{-1}`` as two
+    products by the inverse ``L^{-1}`` of its Cholesky factor (n x n, formed
+    once per sweep), so every dense call stays on numpy's BLAS.
     """
     root = np.sqrt(w)
     quad = cholesky_of_weighted_gram(inst, w)
+    inv_l = np.linalg.inv(quad.L)
     sketch = rng.standard_normal((rows, inst.m))
     scaled = sketch * root
     if inst.is_sparse:
         projected = (inst.matrix.T @ scaled.T).T
     else:
         projected = scaled @ inst.matrix
-    flat = cho_solve((quad.L, True), projected.T, check_finite=False).T
+    flat = (projected @ inv_l.T) @ inv_l
     image = inst.matrix @ flat.T
     return w * np.einsum("ij,ij->i", image, image) / rows
 

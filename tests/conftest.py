@@ -33,6 +33,14 @@ def reference_scores(matrix, w):
     return np.einsum("ij,ij->i", matrix @ np.linalg.inv(gram), matrix)
 
 
+def qr_reference_scores(matrix, w):
+    """Scores via Householder QR: sqrt(W) A = Q R, sigma_i = ||R^{-T} a_i||^2."""
+    matrix = np.asarray(matrix, dtype=float)
+    r = np.linalg.qr(np.sqrt(np.asarray(w, dtype=float))[:, None] * matrix, mode="r")
+    x = np.linalg.solve(r.T, matrix.T)
+    return np.einsum("ij,ij->j", x, x)
+
+
 def reference_logdet(matrix, w):
     """logdet of the weighted Gram via LU-based slogdet."""
     matrix = np.asarray(matrix, dtype=float)

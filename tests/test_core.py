@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import DIAMOND_ROWS, DIAMOND_OPTIMUM, gaussian, reference_scores
+from conftest import (
+    DIAMOND_ROWS,
+    DIAMOND_OPTIMUM,
+    gaussian,
+    qr_reference_scores,
+    reference_scores,
+)
 from johnellip import (
     DimensionError,
     DomainError,
@@ -45,6 +51,15 @@ class TestBuildInstance:
         matrix = np.column_stack([base, base[:, 0] + base[:, 1]])
         with pytest.raises(RankDeficientError):
             build_instance(matrix)
+
+    def test_badly_scaled_columns_accepted(self):
+        # Numerical rank 30 and condition number ~1e5: the rank check must not
+        # read the column scale spread as rank loss.
+        matrix = np.random.default_rng(0).standard_normal((3000, 30)) * np.logspace(-2.5, 2.5, 30)
+        inst = build_instance(matrix)
+        w = np.full(3000, 30 / 3000)
+        expected = qr_reference_scores(matrix, w)
+        assert np.allclose(leverage_scores(inst, w), expected, rtol=1e-10, atol=0.0)
 
     def test_zero_row_reports_first_offender(self):
         with pytest.raises(ZeroRowError) as excinfo:
@@ -224,6 +239,56 @@ class TestLeverageScores:
         qs = cholesky_of_weighted_gram(sparse_inst, w)
         qd = cholesky_of_weighted_gram(dense_inst, w)
         assert np.allclose(qs.Q, qd.Q, rtol=1e-13, atol=1e-15)
+
+    def test_dense_blocks_match_qr_reference(self):
+        # 16421 rows: two full score blocks of 8192 plus a ragged tail.
+        rng = np.random.default_rng(8)
+        matrix = rng.standard_normal((16421, 6))
+        w = rng.uniform(0.1, 2.0, 16421)
+        sigma = leverage_scores(build_instance(matrix), w)
+        assert np.allclose(sigma, qr_reference_scores(matrix, w), rtol=1e-12, atol=0.0)
+
+
+def _instance(matrix, storage):
+    return build_instance(sp.csr_array(matrix) if storage == "csr" else matrix)
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+class TestScoreInvariance:
+    """Scores are a property of the polytope's rows, not of their coordinates."""
+
+    # 9000 rows span a score-block boundary; a permutation moves rows across it.
+    M, N = 9000, 8
+
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(21)
+        matrix = rng.standard_normal((self.M, self.N))
+        matrix[rng.random((self.M, self.N)) < 0.5] = 0.0
+        matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 0] = 1.0
+        w = rng.uniform(0.1, 2.0, self.M)
+        return matrix, w, rng
+
+    def test_column_scaling(self, problem, storage):
+        matrix, w, _ = problem
+        scaled = matrix * np.logspace(-2.5, 2.5, self.N)
+        base = leverage_scores(_instance(matrix, storage), w)
+        moved = leverage_scores(_instance(scaled, storage), w)
+        assert np.allclose(moved, base, rtol=1e-11, atol=0.0)
+
+    def test_row_sign_flips(self, problem, storage):
+        matrix, w, rng = problem
+        signs = rng.choice([-1.0, 1.0], self.M)
+        base = leverage_scores(_instance(matrix, storage), w)
+        moved = leverage_scores(_instance(matrix * signs[:, None], storage), w)
+        assert np.allclose(moved, base, rtol=1e-13, atol=0.0)
+
+    def test_row_permutation(self, problem, storage):
+        matrix, w, rng = problem
+        perm = rng.permutation(self.M)
+        base = leverage_scores(_instance(matrix, storage), w)
+        moved = leverage_scores(_instance(matrix[perm], storage), w[perm])
+        assert np.allclose(moved, base[perm], rtol=1e-12, atol=0.0)
 
 
 class TestObjectiveValue:
