@@ -43,9 +43,9 @@ WEIGHT_SUM_RTOL = 1e-6
 CONTAINMENT_SLACK = 1e-9
 
 _REFRESH_EVERY = 256
-# Elements of one A_blk @ [x | u] block in containment_check; its rows follow
-# from the sample count, so scratch memory stays near 8 MiB at any m.
-_CONTAINMENT_BLOCK_ELEMENTS = 1 << 20
+# Elements of one A_blk @ u block in containment_check; its rows follow from
+# the sample count, so scratch memory stays near 4 MiB at any m.
+_CONTAINMENT_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,10 @@ def containment_check(
     ``(n, samples)`` is drawn from ``default_rng(seed)``, column j belonging
     to sample j.
 
-    Both tests need only the column maxima of ``|A [x | u]|``, so A is read
-    once, in row blocks of about ``_CONTAINMENT_BLOCK_ELEMENTS`` products;
-    scratch memory is one block plus O(n * samples), never m x samples.
+    Both tests need only the column maxima of ``|A u|``, since each x is a
+    positive multiple of its u, so A is read once, in row blocks of about
+    ``_CONTAINMENT_BLOCK_ELEMENTS`` products; scratch memory is one block
+    plus O(n * samples), never m x samples.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples!r}")
@@ -201,16 +202,17 @@ def _containment(
     u = rng.standard_normal((n, samples))
     u /= np.linalg.norm(u, axis=0)
 
-    # x = u / (sqrt(1+eps_hat) * ||L^T u||), so x^T Q x = 1/(1+eps_hat).
+    au_inf = np.zeros(samples)
+    rows = max(1, _CONTAINMENT_BLOCK_ELEMENTS // samples)
+    for start in range(0, inst.m, rows):
+        block = inst.matrix[start:start + rows] @ u
+        np.maximum(au_inf, np.abs(block, out=block).max(axis=0), out=au_inf)
+
+    # x = u / scale with scale = sqrt(1+eps_hat) * ||L^T u||, so
+    # x^T Q x = 1/(1+eps_hat) and ||A x||_inf = ||A u||_inf / scale.
     lt_u = quad.L.T @ u
     scale = np.sqrt(1.0 + eps_hat) * np.linalg.norm(lt_u, axis=0)
-    xu = np.hstack([u / scale, u])
-    col_inf = np.zeros(2 * samples)
-    rows = max(1, _CONTAINMENT_BLOCK_ELEMENTS // (2 * samples))
-    for start in range(0, inst.m, rows):
-        block = inst.matrix[start:start + rows] @ xu
-        np.maximum(col_inf, np.abs(block, out=block).max(axis=0), out=col_inf)
-    inner_inf, au_inf = col_inf[:samples], col_inf[samples:]
+    inner_inf = au_inf / scale
     inner_violations = int(np.count_nonzero(inner_inf > 1.0 + CONTAINMENT_SLACK))
 
     y = u / au_inf

@@ -12,15 +12,20 @@ verification layer:
 * the penalized design objective ``sum(w) - logdet Q(w) - n``.
 
 Dense matrices are stored row-major, sparse ones in CSR.  All arrays are
-float64 and instances are immutable after construction.  Every dense BLAS
-and LAPACK call of the solvers and the verification layer goes through
-numpy; scipy's LAPACK is used once per instance, for the rank check in
+float64 and instances are immutable after construction.  ``Q(w)`` is linear
+in w, so a CSR instance whose rows are sparse also carries, built on first
+use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
+Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
+matrix ``U``, two sparse mat-vecs per sweep.  Every dense BLAS and LAPACK
+call of the solvers and the verification layer goes through numpy; scipy's
+LAPACK is used once per instance, for the rank check in
 :func:`build_instance`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,8 +53,8 @@ __all__ = [
 # Relative pivot cutoff for the construction-time rank check on A^T A,
 # scaled to unit diagonal.
 RANK_PIVOT_RTOL = 1e-10
-# A Cholesky pivot at or below GRAM_PIVOT_FLOOR * trace(Q) / n means the
-# weighted Gram matrix has effectively lost rank.
+# A Cholesky pivot of Q scaled to unit diagonal (L_kk^2 / Q_kk) at or below
+# GRAM_PIVOT_FLOOR means the weighted Gram matrix has effectively lost rank.
 GRAM_PIVOT_FLOOR = 1e-14
 # Row-block size of the products A[block] @ L^{-T} behind the scores; bounds
 # their scratch memory at _SCORE_BLOCK_ROWS x n for dense and CSR A alike.
@@ -93,6 +98,13 @@ class PolytopeInstance:
         if self.is_sparse:
             return self.matrix.toarray()
         return self.matrix.copy()
+
+    @cached_property
+    def _pairs(self) -> sp.csc_array | None:
+        # Row-pair operator of a CSR instance (see _pair_operator), built on
+        # first use and kept for the instance's lifetime; None for dense A
+        # and for CSR whose rows are too dense for it to pay.
+        return _pair_operator(self.matrix) if self.is_sparse else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,49 +218,104 @@ def validate_weights(w, m: int) -> np.ndarray:
     return arr
 
 
+def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
+    """Operator ``P`` (m x n^2) with ``P^T w = vec(triu(Q(w)))``.
+
+    Row i holds the products ``a_ij a_ik`` (j <= k) of its own nonzeros at
+    column ``j*n + k``, about ``nnz_i^2 / 2`` entries, so a weighted Gram is
+    one sparse mat-vec and so is every score (see ``_leverage_from_factor``).
+    Returns None when ``P`` would hold more than ``m * n`` entries, i.e. would
+    outgrow a dense copy of A; such rows stay on the row-block path.
+    """
+    m, n = a.shape
+    row_nnz = np.diff(a.indptr).astype(np.int64)
+    row_pairs = row_nnz * (row_nnz + 1) // 2
+    total = int(row_pairs.sum())
+    if total > m * n:
+        return None
+    # Stored entry p pairs with itself and every later entry of its row
+    # (build_instance leaves column indices sorted, so j <= k).
+    pos = np.arange(a.nnz, dtype=np.int64)
+    count = np.repeat(a.indptr[1:].astype(np.int64), row_nnz) - pos
+    first = np.repeat(pos, count)
+    second = np.arange(total, dtype=np.int64)
+    second -= np.repeat(np.cumsum(count) - count, count)
+    second += first
+    data = a.data[first] * a.data[second]
+    cols = a.indices[first].astype(np.int64)
+    cols *= n
+    cols += a.indices[second]
+    del first, second  # the build's transient peak stays near 3x P
+    indptr = np.concatenate(([0], np.cumsum(row_pairs)))
+    # Stored by column: scipy's CSR mat-vec pays per row, and these rows are
+    # short, so both products run about twice as fast from CSC.
+    pairs = sp.csr_array((data, cols, indptr), shape=(m, n * n)).tocsc()
+    for buf in (pairs.data, pairs.indices, pairs.indptr):
+        buf.setflags(write=False)
+    return pairs
+
+
 def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     """Factor ``Q(w) = A^T diag(w) A`` for nonnegative weights ``w``.
 
-    Assembled as ``B^T B`` with ``B = sqrt(W) A`` (O(m n^2) dense,
-    O(nnz n) sparse) and symmetrized, so ``Q`` is exactly symmetric.
+    CSR with sparse rows forms the upper triangle as ``P^T w`` from the
+    instance's row-pair operator (O(sum_i nnz_i^2)) and mirrors it; other
+    input is assembled as ``B^T B`` with ``B = sqrt(W) A`` (O(m n^2) dense,
+    O(nnz n) sparse) and symmetrized.  Either way ``Q`` is exactly symmetric.
 
     Raises :class:`NotPositiveDefiniteError` when the factorization fails or
-    any pivot falls at or below ``GRAM_PIVOT_FLOOR * trace(Q) / n``.
+    a pivot of ``Q`` scaled to unit diagonal, ``L_kk^2 / Q_kk``, falls at or
+    below ``GRAM_PIVOT_FLOOR``; the test does not depend on column scale.
     """
     w = validate_weights(w, inst.m)
-    root = np.sqrt(w)
-    if inst.is_sparse:
-        b = inst.matrix.multiply(root[:, None]).tocsr()
-        q = (b.T @ b).toarray()
+    pairs = inst._pairs
+    if pairs is not None:
+        q = (pairs.T @ w).reshape(inst.n, inst.n)
+        q += np.triu(q, 1).T
     else:
-        b = inst.matrix * root[:, None]
-        q = b.T @ b
-    q = 0.5 * (q + q.T)
+        root = np.sqrt(w)
+        if inst.is_sparse:
+            b = inst.matrix.multiply(root[:, None]).tocsr()
+            q = (b.T @ b).toarray()
+        else:
+            b = inst.matrix * root[:, None]
+            q = b.T @ b
+        q = 0.5 * (q + q.T)
 
     try:
         lower = np.linalg.cholesky(q)
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(f"weighted Gram matrix is singular: {exc}") from exc
-    pivots = np.diag(lower) ** 2
-    floor = GRAM_PIVOT_FLOOR * float(np.trace(q)) / inst.n
-    if pivots.min() <= floor:
+    scaled_pivots = np.diag(lower) ** 2 / np.diag(q)
+    k = int(np.argmin(scaled_pivots))
+    if scaled_pivots[k] <= GRAM_PIVOT_FLOOR:
         raise NotPositiveDefiniteError(
-            f"weighted Gram pivot {pivots.min():.3e} at or below floor {floor:.3e}"
+            f"weighted Gram pivot {k} is {scaled_pivots[k]:.3e} of its diagonal, "
+            f"at or below floor {GRAM_PIVOT_FLOOR:.0e}"
         )
     logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return EllipsoidQuadratic(Q=_lock(q), L=_lock(lower), logdet=logdet)
 
 
 def _leverage_from_factor(inst: PolytopeInstance, lower: np.ndarray) -> np.ndarray:
-    """Scores ``sigma_i = ||L^{-1} a_i||^2`` given the Cholesky factor of Q.
+    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` given the Cholesky factor of Q.
 
-    ``L^{-T}`` is formed once (an n x n inverse) and each block of
-    ``_SCORE_BLOCK_ROWS`` rows of A, dense or CSR, is multiplied by it:
-    O(m n^2) dense, O(nnz n) sparse, with one block of scratch memory and
-    no copy of A.  The squared norm keeps every score nonnegative in
-    floating point.
+    ``L^{-1}`` is formed once (an n x n inverse).  CSR with sparse rows reads
+    every score off ``Q^{-1} = L^{-T} L^{-1}`` as one mat-vec ``P vec(U)``,
+    with ``U`` the upper triangle of ``Q^{-1}`` and its off-diagonal doubled:
+    O(sum_i nnz_i^2), clipped at zero against rounding.  Other input
+    multiplies each block of ``_SCORE_BLOCK_ROWS`` rows of A by ``L^{-T}``
+    and takes squared row norms: O(m n^2) dense, O(nnz n) sparse, with one
+    block of scratch memory and no copy of A.
     """
-    inv_t = np.ascontiguousarray(np.linalg.inv(lower).T)
+    inv_l = np.linalg.inv(lower)
+    pairs = inst._pairs
+    if pairs is not None:
+        gram_inv = inv_l.T @ inv_l
+        upper = 2.0 * np.triu(gram_inv, 1) + np.diag(np.diag(gram_inv))
+        sigma = pairs @ upper.ravel()
+        return np.maximum(sigma, 0.0, out=sigma)
+    inv_t = np.ascontiguousarray(inv_l.T)
     sigma = np.empty(inst.m)
     for start in range(0, inst.m, _SCORE_BLOCK_ROWS):
         stop = min(start + _SCORE_BLOCK_ROWS, inst.m)

@@ -62,9 +62,12 @@ class SolveTrace:
     """Per-iterate records; empty unless ``record_history`` was set.
 
     Row k holds the iterate index k (1-based), ``max_i sigma_i(w^(k))``,
-    ``sum(w^(k))`` and the wall milliseconds spent on that iterate.  The
-    final iterate's score maximum requires one leverage evaluation the
-    solver itself does not need, so traces cost one extra sweep.
+    ``sum(w^(k))`` and the wall milliseconds of the sweep from ``w^(k)``:
+    the exact scores for the fixed-point solver, the sketched sweep for the
+    sketched one.  The final iterate's score maximum requires one exact
+    leverage evaluation the solver itself does not need, so traces cost one
+    extra sweep, which the final row times.  The sketched solver's exact
+    maxima for the earlier rows are likewise trace-only and not timed.
     """
 
     iterations: list[int] = field(default_factory=list)

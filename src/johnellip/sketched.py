@@ -136,13 +136,12 @@ def sketched_solve(
     w = np.full(m, n / m)
     accum = w.copy()
     for k in range(1, total):
-        start = time.perf_counter()
         if config.record_history:
-            exact = leverage_scores(inst, w)
-            trace.add(k, float(exact.max()), float(w.sum()),
-                      (time.perf_counter() - start) * 1e3)
-            start = time.perf_counter()
+            exact_max, mass = float(leverage_scores(inst, w).max()), float(w.sum())
+        start = time.perf_counter()
         w = _sketch_step(inst, w, rows, rng)
+        if config.record_history:
+            trace.add(k, exact_max, mass, (time.perf_counter() - start) * 1e3)
         accum += w
     if config.record_history:
         start = time.perf_counter()

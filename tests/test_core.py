@@ -19,15 +19,19 @@ from conftest import (
 from johnellip import (
     DimensionError,
     DomainError,
+    FixedPointConfig,
     NotPositiveDefiniteError,
     RankDeficientError,
     ZeroRowError,
     build_instance,
+    certify,
     cholesky_of_weighted_gram,
+    fixed_point_solve,
     leverage_scores,
     objective_value,
     validate_weights,
 )
+from johnellip import core
 
 
 class TestBuildInstance:
@@ -174,6 +178,21 @@ class TestWeightedGram:
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_of_weighted_gram(build_instance(np.eye(2)), [2.0, 0.0])
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("column_scale", [1.0, 1e8], ids=["unscaled", "scaled"])
+    def test_near_singular_weights_rejected(self, storage, column_scale):
+        # Only rows (1, 1) and (1, 1 + 1e-7) carry weight: the Gram scaled to
+        # unit diagonal has last pivot ~2.5e-15, under the floor at any
+        # column scale.  A gap of 1e-6 (pivot ~2.5e-13) still factors.
+        def weighted_pair(gap):
+            rows = np.array([[1.0, 1.0], [1.0, 1.0 + gap], [1.0, 0.0], [0.0, 1.0]])
+            inst = _instance(rows * [1.0, column_scale], storage)
+            return cholesky_of_weighted_gram(inst, [1.0, 1.0, 0.0, 0.0])
+
+        assert np.isfinite(weighted_pair(1e-6).logdet)
+        with pytest.raises(NotPositiveDefiniteError):
+            weighted_pair(1e-7)
+
     def test_factor_buffers_locked(self, diamond):
         quad = cholesky_of_weighted_gram(diamond, [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -250,10 +269,104 @@ class TestLeverageScores:
 
 
 def _instance(matrix, storage):
-    return build_instance(sp.csr_array(matrix) if storage == "csr" else matrix)
+    return build_instance(matrix if storage == "dense" else sp.csr_array(matrix))
+
+
+def _sparse_rows(m, n, zero_fraction, seed):
+    """Gaussian m x n matrix with entries zeroed at random, no zero row."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((m, n))
+    matrix[rng.random((m, n)) < zero_fraction] = 0.0
+    matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 0] = 1.0
+    return matrix
+
+
+class TestPairOperator:
+    """CSR with sparse rows: Gram and scores through the row-pair operator."""
+
+    def test_rows_of_every_length_match_qr_reference(self):
+        # Rows 0..n-1 hold 1..n nonzeros, the rest one or two, so the
+        # operator stays under the m * n cut.
+        n = 12
+        rng = np.random.default_rng(4)
+        matrix = np.zeros((3000, n))
+        for i in range(3000):
+            k = i + 1 if i < n else 1 + i % 2
+            cols = rng.choice(n, size=k, replace=False)
+            matrix[i, cols] = rng.standard_normal(k)
+        inst = build_instance(sp.csr_array(matrix))
+        assert inst._pairs is not None
+        w = rng.uniform(0.1, 2.0, 3000)
+        sigma = leverage_scores(inst, w)
+        assert np.allclose(sigma, qr_reference_scores(matrix, w), rtol=1e-12, atol=0.0)
+
+    def test_dense_rows_fall_back_to_row_blocks(self):
+        matrix = np.random.default_rng(5).standard_normal((500, 10))
+        inst = build_instance(sp.csr_array(matrix))
+        assert inst._pairs is None
+        w = np.random.default_rng(6).uniform(0.1, 2.0, 500)
+        expected = leverage_scores(build_instance(matrix), w)
+        assert np.allclose(leverage_scores(inst, w), expected, rtol=1e-13, atol=0.0)
+
+    def test_gram_is_exactly_symmetric(self):
+        inst = build_instance(sp.csr_array(_sparse_rows(400, 9, 0.7, seed=2)))
+        assert inst._pairs is not None
+        quad = cholesky_of_weighted_gram(inst, np.random.default_rng(3).uniform(0.1, 2.0, 400))
+        assert np.array_equal(quad.Q, quad.Q.T)
+
+    def test_built_once_and_read_only(self, monkeypatch):
+        builds = []
+        original = core._pair_operator
+
+        def counting(matrix):
+            builds.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(core, "_pair_operator", counting)
+        inst = build_instance(sp.csr_array(_sparse_rows(600, 6, 0.7, seed=9)))
+        assert builds == []
+        w, _ = fixed_point_solve(inst, FixedPointConfig(epsilon=0.3))
+        assert certify(inst, w, 0.3, containment_samples=50).passed
+        assert builds == [(600, 6)]
+        pairs = inst._pairs
+        assert pairs is inst._pairs
+        for buf in (pairs.data, pairs.indices, pairs.indptr):
+            assert not buf.flags.writeable
+        with pytest.raises(ValueError):
+            pairs.data[0] = 0.0
+
+    def test_fixed_point_solve_is_bitwise_deterministic(self):
+        matrix = sp.csr_array(_sparse_rows(2000, 10, 0.8, seed=12))
+        first = build_instance(matrix)
+        assert first._pairs is not None
+        config = FixedPointConfig(epsilon=0.2)
+        w1, _ = fixed_point_solve(first, config)
+        w2, _ = fixed_point_solve(first, config)
+        w3, _ = fixed_point_solve(build_instance(matrix), config)
+        assert np.array_equal(w1, w2) and np.array_equal(w1, w3)
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_columns_scaled_by_ten_to_the_k(storage, k):
+    # Column scales spanning 1e-k .. 1e+k: the pivot floor is relative to
+    # the Gram's diagonal, so solving and scores ignore the scale.  CSR rows
+    # keep about 15% of their entries, so they take the row-pair operator.
+    matrix = _sparse_rows(3000, 30, 0.85 if storage == "csr" else 0.0, seed=0)
+    base = _instance(matrix, storage)
+    inst = _instance(matrix * np.logspace(-k, k, 30), storage)
+    assert (inst._pairs is not None) == (storage == "csr")
+    w = np.full(3000, 30 / 3000)
+    assert np.allclose(leverage_scores(inst, w), leverage_scores(base, w), rtol=1e-12, atol=0.0)
+    config = FixedPointConfig(epsilon=0.2)
+    solved, _ = fixed_point_solve(inst, config)
+    assert np.allclose(solved, fixed_point_solve(base, config)[0], rtol=1e-10, atol=0.0)
+    assert certify(inst, solved, 0.2, containment_samples=0).passed
+
+
+# "csr-pairs" keeps a quarter of the entries, so its rows are sparse enough
+# for the row-pair operator; "csr" keeps half and stays on row blocks.
+@pytest.mark.parametrize("storage", ["dense", "csr", "csr-pairs"])
 class TestScoreInvariance:
     """Scores are a property of the polytope's rows, not of their coordinates."""
 
@@ -261,13 +374,18 @@ class TestScoreInvariance:
     M, N = 9000, 8
 
     @pytest.fixture
-    def problem(self):
+    def problem(self, storage):
         rng = np.random.default_rng(21)
         matrix = rng.standard_normal((self.M, self.N))
-        matrix[rng.random((self.M, self.N)) < 0.5] = 0.0
+        zero_fraction = 0.75 if storage == "csr-pairs" else 0.5
+        matrix[rng.random((self.M, self.N)) < zero_fraction] = 0.0
         matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 0] = 1.0
         w = rng.uniform(0.1, 2.0, self.M)
         return matrix, w, rng
+
+    def test_score_path(self, problem, storage):
+        inst = _instance(problem[0], storage)
+        assert (inst._pairs is not None) == (storage == "csr-pairs")
 
     def test_column_scaling(self, problem, storage):
         matrix, w, _ = problem

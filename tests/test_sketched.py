@@ -5,6 +5,7 @@ consumption order is part of the solver's documented contract.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from johnellip import (
     leverage_scores,
     sketched_solve,
 )
+from johnellip import sketched
 from johnellip.sketched import _sketch_step
 
 
@@ -122,6 +124,27 @@ class TestSolve:
         assert trace.iterations == [1, 2, 3, 4]
         uniform = np.full(4, 0.5)
         assert trace.max_sigma[0] == leverage_scores(diamond, uniform).max()
+
+    def test_trace_times_the_sketched_sweep(self, diamond, monkeypatch):
+        # Rows 1..T-1 time _sketch_step from w^(k) and nothing else; the
+        # final row times the trace-only exact evaluation of w^(T).
+        original_step, original_scores = sketched._sketch_step, sketched.leverage_scores
+
+        def slow_step(*args):
+            time.sleep(0.02)
+            return original_step(*args)
+
+        def slow_scores(*args):
+            time.sleep(0.2)
+            return original_scores(*args)
+
+        monkeypatch.setattr(sketched, "_sketch_step", slow_step)
+        monkeypatch.setattr(sketched, "leverage_scores", slow_scores)
+        config = SketchConfig(epsilon=0.5, delta=0.1, iterations=3, record_history=True)
+        _, trace = sketched_solve(diamond, config)
+        assert len(trace) == 3
+        assert all(20.0 <= ms < 200.0 for ms in trace.wall_ms[:2])
+        assert trace.wall_ms[2] >= 200.0
 
     def test_trace_empty_without_history(self, diamond):
         _, trace = sketched_solve(diamond, SketchConfig(epsilon=0.5, delta=0.1, iterations=3))
