@@ -18,6 +18,7 @@ from .core import (
     EllipsoidQuadratic,
     PolytopeInstance,
     _leverage_from_factor,
+    _leverage_from_inverse,
     cholesky_of_weighted_gram,
     validate_weights,
 )
@@ -251,7 +252,7 @@ def _exact_state(inst: PolytopeInstance, w: np.ndarray):
     quad = cholesky_of_weighted_gram(inst, w)
     inv_l = np.linalg.inv(quad.L)
     inv = inv_l.T @ inv_l  # numpy runs a.T @ a as a syrk: exactly symmetric
-    sigma = _leverage_from_factor(inst, quad.L)
+    sigma = _leverage_from_inverse(inst, inv_l, inv)
     return inv, sigma, quad.logdet
 
 

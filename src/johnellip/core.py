@@ -59,6 +59,14 @@ GRAM_PIVOT_FLOOR = 1e-14
 # Row-block size of the products A[block] @ L^{-T} behind the scores; bounds
 # their scratch memory at _SCORE_BLOCK_ROWS x n for dense and CSR A alike.
 _SCORE_BLOCK_ROWS = 8192
+# The row-pair operator P is built only when it holds at most this many
+# entries per nonzero of A (rows of about 7 nonzeros on average), so it is
+# kept at up to 4x the size of A's CSR arrays and its build peaks near twice
+# that.  P's sweep is the faster one at every row density, so memory alone
+# sets the cut.
+_PAIRS_PER_NONZERO = 4
+# Pairs generated per step while building P; bounds the build's index scratch.
+_PAIR_BUILD_CHUNK = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +111,7 @@ class PolytopeInstance:
     def _pairs(self) -> sp.csc_array | None:
         # Row-pair operator of a CSR instance (see _pair_operator), built on
         # first use and kept for the instance's lifetime; None for dense A
-        # and for CSR whose rows are too dense for it to pay.
+        # and for CSR whose rows are too dense for it to stay small.
         return _pair_operator(self.matrix) if self.is_sparse else None
 
 
@@ -222,34 +230,42 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
     """Operator ``P`` (m x n^2) with ``P^T w = vec(triu(Q(w)))``.
 
     Row i holds the products ``a_ij a_ik`` (j <= k) of its own nonzeros at
-    column ``j*n + k``, about ``nnz_i^2 / 2`` entries, so a weighted Gram is
-    one sparse mat-vec and so is every score (see ``_leverage_from_factor``).
-    Returns None when ``P`` would hold more than ``m * n`` entries, i.e. would
-    outgrow a dense copy of A; such rows stay on the row-block path.
+    column ``j*n + k``, ``nnz_i (nnz_i + 1) / 2`` entries, so a weighted Gram
+    is one sparse mat-vec and so is every score (see ``_leverage_from_factor``).
+    Returns None when ``P`` would hold more than ``_PAIRS_PER_NONZERO`` entries
+    per nonzero of A; such rows stay on the row-block path.
     """
     m, n = a.shape
     row_nnz = np.diff(a.indptr).astype(np.int64)
-    row_pairs = row_nnz * (row_nnz + 1) // 2
-    total = int(row_pairs.sum())
-    if total > m * n:
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(row_nnz * (row_nnz + 1) // 2, out=indptr[1:])
+    total = int(indptr[-1])
+    if total > _PAIRS_PER_NONZERO * a.nnz:
         return None
-    # Stored entry p pairs with itself and every later entry of its row
-    # (build_instance leaves column indices sorted, so j <= k).
-    pos = np.arange(a.nnz, dtype=np.int64)
-    count = np.repeat(a.indptr[1:].astype(np.int64), row_nnz) - pos
-    first = np.repeat(pos, count)
-    second = np.arange(total, dtype=np.int64)
-    second -= np.repeat(np.cumsum(count) - count, count)
-    second += first
-    data = a.data[first] * a.data[second]
-    cols = a.indices[first].astype(np.int64)
-    cols *= n
-    cols += a.indices[second]
-    del first, second  # the build's transient peak stays near 3x P
-    indptr = np.concatenate(([0], np.cumsum(row_pairs)))
+    index = np.int32 if max(total, n * n) < 2**31 else np.int64
+    data = np.empty(total)
+    cols = np.empty(total, dtype=index)
+    start = 0
+    while start < m:
+        # Whole rows holding about _PAIR_BUILD_CHUNK pairs at a time, so the
+        # index scratch stays small beside data and cols.
+        stop = int(np.searchsorted(indptr, indptr[start] + _PAIR_BUILD_CHUNK, "right"))
+        stop = max(stop - 1, start + 1)
+        # Stored entry p pairs with itself and every later entry of its row
+        # (build_instance leaves column indices sorted, so j <= k).
+        pos = np.arange(a.indptr[start], a.indptr[stop], dtype=np.int64)
+        count = np.repeat(a.indptr[start + 1 : stop + 1], row_nnz[start:stop]) - pos
+        first = np.repeat(pos, count)
+        second = np.arange(first.size, dtype=np.int64)
+        second -= np.repeat(np.cumsum(count) - count, count)
+        second += first
+        out = slice(indptr[start], indptr[stop])
+        np.multiply(a.data[first], a.data[second], out=data[out])
+        cols[out] = a.indices[first].astype(index) * n + a.indices[second]
+        start = stop
     # Stored by column: scipy's CSR mat-vec pays per row, and these rows are
     # short, so both products run about twice as fast from CSC.
-    pairs = sp.csr_array((data, cols, indptr), shape=(m, n * n)).tocsc()
+    pairs = sp.csr_array((data, cols, indptr.astype(index)), shape=(m, n * n)).tocsc()
     for buf in (pairs.data, pairs.indices, pairs.indptr):
         buf.setflags(write=False)
     return pairs
@@ -298,20 +314,30 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
 
 
 def _leverage_from_factor(inst: PolytopeInstance, lower: np.ndarray) -> np.ndarray:
-    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` given the Cholesky factor of Q.
+    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` given the Cholesky factor of Q."""
+    return _leverage_from_inverse(inst, np.linalg.inv(lower))
 
-    ``L^{-1}`` is formed once (an n x n inverse).  CSR with sparse rows reads
-    every score off ``Q^{-1} = L^{-T} L^{-1}`` as one mat-vec ``P vec(U)``,
-    with ``U`` the upper triangle of ``Q^{-1}`` and its off-diagonal doubled:
-    O(sum_i nnz_i^2), clipped at zero against rounding.  Other input
-    multiplies each block of ``_SCORE_BLOCK_ROWS`` rows of A by ``L^{-T}``
-    and takes squared row norms: O(m n^2) dense, O(nnz n) sparse, with one
-    block of scratch memory and no copy of A.
+
+def _leverage_from_inverse(
+    inst: PolytopeInstance, inv_l: np.ndarray, gram_inv: np.ndarray | None = None
+) -> np.ndarray:
+    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` given ``L^{-1}`` (n x n).
+
+    CSR with sparse rows reads every score off ``Q^{-1} = L^{-T} L^{-1}``
+    (``gram_inv``, formed here unless the caller holds it) as one mat-vec
+    ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}`` and its
+    off-diagonal doubled: O(sum_i nnz_i^2).  Its rounding error is of the
+    order of the error the Gram's own rounding puts into the scores; a
+    quadratic form can still dip below zero where a squared norm cannot, so
+    the result is clipped at zero.  Other input multiplies each block of
+    ``_SCORE_BLOCK_ROWS`` rows of A by ``L^{-T}`` and takes squared row
+    norms: O(m n^2) dense, O(nnz n) sparse, with one block of scratch memory
+    and no copy of A.
     """
-    inv_l = np.linalg.inv(lower)
     pairs = inst._pairs
     if pairs is not None:
-        gram_inv = inv_l.T @ inv_l
+        if gram_inv is None:
+            gram_inv = inv_l.T @ inv_l
         upper = 2.0 * np.triu(gram_inv, 1) + np.diag(np.diag(gram_inv))
         sigma = pairs @ upper.ravel()
         return np.maximum(sigma, 0.0, out=sigma)

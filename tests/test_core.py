@@ -1,6 +1,7 @@
 """Instance construction, validation, and the weighted-Gram/score kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ class TestPairOperator:
 
     def test_rows_of_every_length_match_qr_reference(self):
         # Rows 0..n-1 hold 1..n nonzeros, the rest one or two, so the
-        # operator stays under the m * n cut.
+        # operator stays under the cut of 4 pairs per nonzero.
         n = 12
         rng = np.random.default_rng(4)
         matrix = np.zeros((3000, n))
@@ -301,12 +302,65 @@ class TestPairOperator:
         assert np.allclose(sigma, qr_reference_scores(matrix, w), rtol=1e-12, atol=0.0)
 
     def test_dense_rows_fall_back_to_row_blocks(self):
-        matrix = np.random.default_rng(5).standard_normal((500, 10))
+        # 16421 rows: two full score blocks of 8192 plus a ragged tail, and
+        # 5.5 pairs per nonzero, above the cut.
+        matrix = np.random.default_rng(5).standard_normal((16421, 10))
         inst = build_instance(sp.csr_array(matrix))
         assert inst._pairs is None
-        w = np.random.default_rng(6).uniform(0.1, 2.0, 500)
+        w = np.random.default_rng(6).uniform(0.1, 2.0, 16421)
+        sigma = leverage_scores(inst, w)
+        assert np.allclose(sigma, qr_reference_scores(matrix, w), rtol=1e-12, atol=0.0)
         expected = leverage_scores(build_instance(matrix), w)
-        assert np.allclose(leverage_scores(inst, w), expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(sigma, expected, rtol=1e-13, atol=0.0)
+
+    def test_near_collinear_columns_match_qr_reference(self):
+        # Column 1 is column 0 times 1 + 1e-4 * noise, so the Gram scaled to
+        # unit diagonal has a pivot near 1e-8 and a condition number near
+        # 4e8.  Both score paths inherit the Gram's rounding; the quadratic
+        # form P vec(U) must stay as close to QR as the row blocks do.
+        rng = np.random.default_rng(1)
+        matrix = rng.standard_normal((1500, 10))
+        matrix[rng.random((1500, 10)) > 0.25] = 0.0
+        matrix[:, 1] = matrix[:, 0] * (1.0 + 1e-4 * rng.standard_normal(1500))
+        matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 2] = 1.0
+        inst = build_instance(sp.csr_array(matrix))
+        assert inst._pairs is not None
+        w = rng.uniform(0.1, 2.0, 1500)
+        quad = cholesky_of_weighted_gram(inst, w)
+        assert np.min(np.diag(quad.L) ** 2 / np.diag(quad.Q)) < 1e-7
+        expected = qr_reference_scores(matrix, w)
+        row_blocks = leverage_scores(build_instance(matrix), w)
+        assert np.allclose(row_blocks, expected, rtol=1e-6, atol=0.0)
+        assert np.allclose(leverage_scores(inst, w), expected, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("k, built", [(7, True), (8, False)], ids=["7-per-row", "8-per-row"])
+    def test_cut_and_first_sweep_memory(self, k, built):
+        # Rows of k nonzeros give (k + 1) / 2 pairs per nonzero: 4 (at the
+        # cut, built) or 4.5 (row blocks).  The build holds at most P's CSR
+        # and CSC copies at once plus a bounded index scratch.
+        m, n = 40000, 40
+        rng = np.random.default_rng(7)
+        cols = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :k], axis=1)
+        matrix = sp.csr_array(
+            (rng.standard_normal(m * k), cols.ravel(), np.arange(0, m * k + 1, k)), shape=(m, n)
+        )
+        inst = build_instance(matrix)
+        a = inst.matrix
+        a_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+        tracemalloc.start()
+        try:
+            leverage_scores(inst, np.full(m, n / m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = inst._pairs
+        assert (pairs is not None) == built
+        if built:
+            assert pairs.nnz <= 4 * a.nnz
+            assert pairs.data.nbytes + pairs.indices.nbytes <= 4 * a_bytes
+            assert peak < 7 * a_bytes  # 6.1x measured; 40 B per pair would be 10.5x
+        else:
+            assert peak < 3 * a_bytes  # one copy of A as B = sqrt(W) A, one block
 
     def test_gram_is_exactly_symmetric(self):
         inst = build_instance(sp.csr_array(_sparse_rows(400, 9, 0.7, seed=2)))
@@ -364,9 +418,9 @@ def test_columns_scaled_by_ten_to_the_k(storage, k):
     assert certify(inst, solved, 0.2, containment_samples=0).passed
 
 
-# "csr-pairs" keeps a quarter of the entries, so its rows are sparse enough
-# for the row-pair operator; "csr" keeps half and stays on row blocks.
-@pytest.mark.parametrize("storage", ["dense", "csr", "csr-pairs"])
+# "csr" keeps half the entries, so its rows take the row-pair operator;
+# "csr-dense-rows" keeps them all, 4.5 pairs per nonzero, and takes row blocks.
+@pytest.mark.parametrize("storage", ["dense", "csr", "csr-dense-rows"])
 class TestScoreInvariance:
     """Scores are a property of the polytope's rows, not of their coordinates."""
 
@@ -377,7 +431,7 @@ class TestScoreInvariance:
     def problem(self, storage):
         rng = np.random.default_rng(21)
         matrix = rng.standard_normal((self.M, self.N))
-        zero_fraction = 0.75 if storage == "csr-pairs" else 0.5
+        zero_fraction = 0.0 if storage == "csr-dense-rows" else 0.5
         matrix[rng.random((self.M, self.N)) < zero_fraction] = 0.0
         matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 0] = 1.0
         w = rng.uniform(0.1, 2.0, self.M)
@@ -385,7 +439,7 @@ class TestScoreInvariance:
 
     def test_score_path(self, problem, storage):
         inst = _instance(problem[0], storage)
-        assert (inst._pairs is not None) == (storage == "csr-pairs")
+        assert (inst._pairs is not None) == (storage == "csr")
 
     def test_column_scaling(self, problem, storage):
         matrix, w, _ = problem
