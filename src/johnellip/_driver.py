@@ -12,7 +12,7 @@ import numpy as np
 from .certification import certify, oracle_solve
 from .cli import RunRequest
 from .core import PolytopeInstance, validate_weights
-from .errors import DomainError, JohnEllipsoidError
+from .errors import DomainError, JohnEllipsoidError, check_count, check_unit_interval
 from .fixed_point import FixedPointConfig, SolveTrace, default_iterations, fixed_point_solve
 from .generators import generate, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
@@ -44,10 +44,9 @@ def _validate(request: RunRequest) -> None:
     if request.samples < 0:
         raise DomainError(f"--samples must be >= 0, got {request.samples}")
     if request.command in ("solve", "solve-sketched", "verify"):
-        if not 0.0 < request.epsilon < 1.0:
-            raise DomainError(f"--eps must lie in (0, 1), got {request.epsilon!r}")
-    if request.command == "solve-sketched" and not 0.0 < request.delta < 1.0:
-        raise DomainError(f"--delta must lie in (0, 1), got {request.delta!r}")
+        check_unit_interval("--eps", request.epsilon)
+    if request.command == "solve-sketched":
+        check_unit_interval("--delta", request.delta)
     if request.command == "verify" and request.weights_path is None:
         raise DomainError("verify requires --weights")
     if request.command == "gen":
@@ -56,8 +55,7 @@ def _validate(request: RunRequest) -> None:
         if request.out_path is None:
             raise DomainError("gen requires --out")
     if request.command == "bench":
-        if request.repeats < 1:
-            raise DomainError(f"--repeats must be >= 1, got {request.repeats}")
+        check_count("--repeats", request.repeats)
         if not request.grid_m or not request.grid_n or not request.grid_eps:
             raise DomainError("bench grids must be non-empty")
 

@@ -17,12 +17,11 @@ import numpy as np
 from .core import (
     EllipsoidQuadratic,
     PolytopeInstance,
-    _leverage_from_factor,
-    _leverage_from_inverse,
+    _scores,
     cholesky_of_weighted_gram,
     validate_weights,
 )
-from .errors import DomainError, NoConvergenceError
+from .errors import DomainError, NoConvergenceError, check_count, check_unit_interval
 
 __all__ = [
     "CertificateReport",
@@ -47,6 +46,12 @@ _REFRESH_EVERY = 256
 # Elements of one A_blk @ u block in containment_check; its rows follow from
 # the sample count, so scratch memory stays near 4 MiB at any m.
 _CONTAINMENT_BLOCK_ELEMENTS = 1 << 19
+
+
+def _graded(inst: PolytopeInstance, w) -> tuple[EllipsoidQuadratic, np.ndarray]:
+    # The one factorization of Q(w) behind every grade of w, and its scores.
+    quad = cholesky_of_weighted_gram(inst, w)
+    return quad, _scores(inst, quad)
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,7 @@ def certify(
     w = validate_weights(w, inst.m)
     n = inst.n
 
-    quad = cholesky_of_weighted_gram(inst, w)
-    sigma = _leverage_from_factor(inst, quad.L)
+    quad, sigma = _graded(inst, w)
     max_sigma = float(sigma.max())
     weight_sum = float(w.sum())
     eps_hat = max_sigma - 1.0
@@ -153,9 +157,7 @@ def duality_gap(inst: PolytopeInstance, w, oracle: "OracleSolution | None" = Non
     :class:`OracleSolution` is supplied the return value is the pair
     ``(gap, logdet difference against the reference weights)``.
     """
-    w = validate_weights(w, inst.m)
-    quad = cholesky_of_weighted_gram(inst, w)
-    sigma = _leverage_from_factor(inst, quad.L)
+    quad, sigma = _graded(inst, w)
     gap = inst.n * math.log(float(sigma.max()))
     if oracle is None:
         return gap
@@ -181,12 +183,9 @@ def containment_check(
     ``_CONTAINMENT_BLOCK_ELEMENTS`` products; scratch memory is one block
     plus O(n * samples), never m x samples.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples!r}")
-    w = validate_weights(w, inst.m)
-    quad = cholesky_of_weighted_gram(inst, w)
-    eps_hat = float(_leverage_from_factor(inst, quad.L).max()) - 1.0
-    return _containment(inst, quad, eps_hat, samples, seed)
+    check_count("samples", samples)
+    quad, sigma = _graded(inst, w)
+    return _containment(inst, quad, float(sigma.max()) - 1.0, samples, seed)
 
 
 def _containment(
@@ -216,8 +215,8 @@ def _containment(
     inner_inf = au_inf / scale
     inner_violations = int(np.count_nonzero(inner_inf > 1.0 + CONTAINMENT_SLACK))
 
-    y = u / au_inf
-    lt_y = quad.L.T @ y
+    # y = u / ||A u||_inf, so L^T y = L^T u / ||A u||_inf.
+    lt_y = lt_u / au_inf
     outer_val = np.einsum("ij,ij->j", lt_y, lt_y)
     outer_violations = int(np.count_nonzero(outer_val > n + CONTAINMENT_SLACK))
 
@@ -249,11 +248,8 @@ class OracleSolution:
 
 
 def _exact_state(inst: PolytopeInstance, w: np.ndarray):
-    quad = cholesky_of_weighted_gram(inst, w)
-    inv_l = np.linalg.inv(quad.L)
-    inv = inv_l.T @ inv_l  # numpy runs a.T @ a as a syrk: exactly symmetric
-    sigma = _leverage_from_inverse(inst, inv_l, inv)
-    return inv, sigma, quad.logdet
+    quad, sigma = _graded(inst, w)
+    return quad.inverse, sigma, quad.logdet
 
 
 def _step_gain(n: int, tau: float, d: float) -> float:
@@ -296,10 +292,8 @@ def oracle_solve(
     Raises :class:`NoConvergenceError` when ``max_iters`` steps were not
     enough.
     """
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters!r}")
+    check_unit_interval("tol", tol)
+    check_count("max_iters", max_iters)
 
     m, n = inst.m, inst.n
     w = np.full(m, n / m)
@@ -382,7 +376,7 @@ def oracle_solve(
             fresh = True
 
     w = w * (n / w.sum())
-    _, sigma, logdet = _exact_state(inst, w)
+    quad, sigma = _graded(inst, w)
     supported = w > SUPPORT_THRESHOLD
     deviation = float(np.abs(sigma[supported] - 1.0).max())
     return OracleSolution(
@@ -390,7 +384,7 @@ def oracle_solve(
         iterations=steps,
         max_sigma=float(sigma.max()),
         support_deviation=deviation,
-        logdet=logdet,
+        logdet=quad.logdet,
         history=history,
     )
 
@@ -408,12 +402,7 @@ def volume_ratio(inst: PolytopeInstance, w, w_star) -> float:
     weights summing to n this is at least ``exp(-n * eps_hat / 2)`` and at
     most 1 up to reference slack.
     """
-    w = validate_weights(w, inst.m)
-    w_star = validate_weights(w_star, inst.m)
-    n = inst.n
-
-    quad = cholesky_of_weighted_gram(inst, w)
-    sigma = _leverage_from_factor(inst, quad.L)
+    quad, sigma = _graded(inst, w)
     eps_hat = float(sigma.max()) - 1.0
     ref = cholesky_of_weighted_gram(inst, w_star)
-    return math.exp((ref.logdet - n * math.log1p(eps_hat) - quad.logdet) / 2.0)
+    return math.exp((ref.logdet - inst.n * math.log1p(eps_hat) - quad.logdet) / 2.0)

@@ -81,21 +81,19 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", metavar="PATH",
+    source.add_argument("--input", dest="input_path", metavar="PATH",
                         help="Matrix Market file with the constraint matrix")
-    source.add_argument("--gen", metavar="SPEC",
+    source.add_argument("--gen", dest="generator", metavar="SPEC",
                         help="generator spec, e.g. gaussian-dense:200x10:seed=7")
 
 
 def _add_report_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH",
+    parser.add_argument("--out", dest="out_path", metavar="PATH",
                         help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
                         help="json: certificate report; csv: per-iteration trace")
-    parser.add_argument("--samples", type=int, default=1000,
-                        help="containment sample count (0 disables)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for generation, sketching and sampling")
+    parser.add_argument("--samples", type=int, help="containment sample count (0 disables)")
+    parser.add_argument("--seed", type=int, help="seed for generation, sketching and sampling")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,8 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exact fixed-point solver")
     _add_instance_args(solve)
     _add_report_args(solve)
-    solve.add_argument("--eps", type=float, default=0.1, help="target epsilon in (0, 1)")
-    solve.add_argument("--iters", type=int, help="override the iteration count")
+    solve.add_argument("--eps", dest="epsilon", metavar="EPS", type=float,
+                       help="target epsilon in (0, 1)")
+    solve.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
+                       help="override the iteration count")
     solve.add_argument("--volume-mode", action="store_true",
                        help="aim for a (1+eps) volume factor by solving at eps/n")
     solve.add_argument("--trace", action="store_true", help="record the per-iteration trace")
@@ -118,9 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sketched = sub.add_parser("solve-sketched", help="Gaussian-sketched solver")
     _add_instance_args(sketched)
     _add_report_args(sketched)
-    sketched.add_argument("--eps", type=float, default=0.1, help="target epsilon in (0, 1)")
-    sketched.add_argument("--delta", type=float, default=0.1, help="failure probability in (0, 1)")
-    sketched.add_argument("--iters", type=int, help="override the iteration count")
+    sketched.add_argument("--eps", dest="epsilon", metavar="EPS", type=float,
+                          help="target epsilon in (0, 1)")
+    sketched.add_argument("--delta", type=float, help="failure probability in (0, 1)")
+    sketched.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
+                          help="override the iteration count")
     sketched.add_argument("--sketch-rows", type=int, help="override the sketch size")
     sketched.add_argument("--volume-mode", action="store_true",
                           help="aim for a (1+eps) volume factor by solving at eps/n")
@@ -130,70 +132,42 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="grade weights from a JSON file")
     _add_instance_args(verify)
     _add_report_args(verify)
-    verify.add_argument("--weights", required=True, metavar="PATH",
+    verify.add_argument("--weights", dest="weights_path", required=True, metavar="PATH",
                         help="JSON array with one weight per constraint row")
-    verify.add_argument("--eps", type=float, default=0.1, help="target epsilon in (0, 1)")
+    verify.add_argument("--eps", dest="epsilon", metavar="EPS", type=float,
+                        help="target epsilon in (0, 1)")
 
     oracle = sub.add_parser("oracle", help="reference weights via greedy ascent")
     _add_instance_args(oracle)
     _add_report_args(oracle)
-    oracle.add_argument("--tol", type=float, default=1e-6, help="score tolerance")
-    oracle.add_argument("--max-iters", type=int, default=200_000,
-                        help="iteration budget before giving up")
+    oracle.add_argument("--tol", type=float, help="score tolerance")
+    oracle.add_argument("--max-iters", type=int, help="iteration budget before giving up")
 
     gen = sub.add_parser("gen", help="write a generated instance as Matrix Market")
-    gen.add_argument("--gen", required=True, metavar="SPEC", help="generator spec")
-    gen.add_argument("--seed", type=int, default=0, help="seed when SPEC has none")
-    gen.add_argument("--out", required=True, metavar="PATH", help="output file")
+    gen.add_argument("--gen", dest="generator", required=True, metavar="SPEC",
+                     help="generator spec")
+    gen.add_argument("--seed", type=int, help="seed when SPEC has none")
+    gen.add_argument("--out", dest="out_path", required=True, metavar="PATH",
+                     help="output file")
 
     bench = sub.add_parser("bench", help="timing sweep over gaussian instances")
-    bench.add_argument("--grid-m", type=_int_list, default=(200, 400),
-                       help="comma-separated row counts")
-    bench.add_argument("--grid-n", type=_int_list, default=(10,),
-                       help="comma-separated column counts")
-    bench.add_argument("--grid-eps", type=_float_list, default=(0.5,),
-                       help="comma-separated epsilon values")
-    bench.add_argument("--repeats", type=int, default=5, help="solves per grid cell")
-    bench.add_argument("--seed", type=int, default=0, help="base seed for the sweep")
-    bench.add_argument("--out", metavar="PATH", help="write the CSV here instead of stdout")
+    bench.add_argument("--grid-m", type=_int_list, help="comma-separated row counts")
+    bench.add_argument("--grid-n", type=_int_list, help="comma-separated column counts")
+    bench.add_argument("--grid-eps", type=_float_list, help="comma-separated epsilon values")
+    bench.add_argument("--repeats", type=int, help="solves per grid cell")
+    bench.add_argument("--seed", type=int, help="base seed for the sweep")
+    bench.add_argument("--out", dest="out_path", metavar="PATH",
+                       help="write the CSV here instead of stdout")
 
     return parser
-
-
-def _request_from_args(args: argparse.Namespace) -> RunRequest:
-    fields = {"command": args.command}
-    mapping = {
-        "input": "input_path",
-        "gen": "generator",
-        "eps": "epsilon",
-        "delta": "delta",
-        "seed": "seed",
-        "iters": "iterations",
-        "sketch_rows": "sketch_rows",
-        "tol": "tol",
-        "max_iters": "max_iters",
-        "volume_mode": "volume_mode",
-        "samples": "samples",
-        "trace": "trace",
-        "weights": "weights_path",
-        "out": "out_path",
-        "format": "fmt",
-        "grid_m": "grid_m",
-        "grid_n": "grid_n",
-        "grid_eps": "grid_eps",
-        "repeats": "repeats",
-    }
-    for arg_name, field in mapping.items():
-        if hasattr(args, arg_name) and getattr(args, arg_name) is not None:
-            fields[field] = getattr(args, arg_name)
-    return RunRequest(**fields)
 
 
 def main(argv=None) -> int:
     _apply_thread_cap(os.environ.get("JOHN_THREADS"))
     parser = _build_parser()
     args = parser.parse_args(argv)
-    request = _request_from_args(args)
+    # Every dest is a RunRequest field; flags left unset keep its defaults.
+    request = RunRequest(**{k: v for k, v in vars(args).items() if v is not None})
     from . import _driver
 
     return _driver.run(request)

@@ -6,7 +6,8 @@ column rank.  The primitives below are shared by both solvers and the
 verification layer:
 
 * the weighted Gram matrix ``Q(w) = sum_i w_i a_i a_i^T`` and its Cholesky
-  factor,
+  factor, held with ``logdet`` and, formed on first use, ``L^{-1}`` and
+  ``Q^{-1}`` in one :class:`EllipsoidQuadratic` per weight vector,
 * the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i`` (leverage scores of row i
   of ``sqrt(W) A`` divided by ``w_i``),
 * the penalized design objective ``sum(w) - logdet Q(w) - n``.
@@ -120,7 +121,10 @@ class EllipsoidQuadratic:
     """SPD quadratic ``Q`` defining the ellipsoid ``{x : x^T Q x <= 1}``.
 
     ``L`` is the lower Cholesky factor of ``Q`` and ``logdet`` equals
-    ``2 * sum(log(diag(L)))`` by construction.
+    ``2 * sum(log(diag(L)))`` by construction.  ``inv_l`` (``L^{-1}``) and
+    ``inverse`` (``Q^{-1} = L^{-T} L^{-1}``) are formed on first use, once
+    per factor, and kept read-only; everything that grades one weight
+    vector reads them from here.
     """
 
     Q: np.ndarray
@@ -130,6 +134,15 @@ class EllipsoidQuadratic:
     @property
     def n(self) -> int:
         return self.Q.shape[0]
+
+    @cached_property
+    def inv_l(self) -> np.ndarray:
+        return _lock(np.linalg.inv(self.L))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        # numpy runs a.T @ a as a syrk, so Q^{-1} is exactly symmetric.
+        return _lock(self.inv_l.T @ self.inv_l)
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -231,7 +244,7 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
 
     Row i holds the products ``a_ij a_ik`` (j <= k) of its own nonzeros at
     column ``j*n + k``, ``nnz_i (nnz_i + 1) / 2`` entries, so a weighted Gram
-    is one sparse mat-vec and so is every score (see ``_leverage_from_factor``).
+    is one sparse mat-vec and so is every score (see ``_scores``).
     Returns None when ``P`` would hold more than ``_PAIRS_PER_NONZERO`` entries
     per nonzero of A; such rows stay on the row-block path.
     """
@@ -313,35 +326,26 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     return EllipsoidQuadratic(Q=_lock(q), L=_lock(lower), logdet=logdet)
 
 
-def _leverage_from_factor(inst: PolytopeInstance, lower: np.ndarray) -> np.ndarray:
-    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` given the Cholesky factor of Q."""
-    return _leverage_from_inverse(inst, np.linalg.inv(lower))
+def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
+    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` from the factor of ``Q``.
 
-
-def _leverage_from_inverse(
-    inst: PolytopeInstance, inv_l: np.ndarray, gram_inv: np.ndarray | None = None
-) -> np.ndarray:
-    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` given ``L^{-1}`` (n x n).
-
-    CSR with sparse rows reads every score off ``Q^{-1} = L^{-T} L^{-1}``
-    (``gram_inv``, formed here unless the caller holds it) as one mat-vec
-    ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}`` and its
+    CSR with sparse rows reads every score off ``quad.inverse`` as one
+    mat-vec ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}`` and its
     off-diagonal doubled: O(sum_i nnz_i^2).  Its rounding error is of the
     order of the error the Gram's own rounding puts into the scores; a
     quadratic form can still dip below zero where a squared norm cannot, so
     the result is clipped at zero.  Other input multiplies each block of
-    ``_SCORE_BLOCK_ROWS`` rows of A by ``L^{-T}`` and takes squared row
-    norms: O(m n^2) dense, O(nnz n) sparse, with one block of scratch memory
-    and no copy of A.
+    ``_SCORE_BLOCK_ROWS`` rows of A by ``L^{-T}`` (``quad.inv_l``) and takes
+    squared row norms: O(m n^2) dense, O(nnz n) sparse, with one block of
+    scratch memory and no copy of A.
     """
     pairs = inst._pairs
     if pairs is not None:
-        if gram_inv is None:
-            gram_inv = inv_l.T @ inv_l
-        upper = 2.0 * np.triu(gram_inv, 1) + np.diag(np.diag(gram_inv))
+        inverse = quad.inverse
+        upper = 2.0 * np.triu(inverse, 1) + np.diag(np.diag(inverse))
         sigma = pairs @ upper.ravel()
         return np.maximum(sigma, 0.0, out=sigma)
-    inv_t = np.ascontiguousarray(inv_l.T)
+    inv_t = np.ascontiguousarray(quad.inv_l.T)
     sigma = np.empty(inst.m)
     for start in range(0, inst.m, _SCORE_BLOCK_ROWS):
         stop = min(start + _SCORE_BLOCK_ROWS, inst.m)
@@ -356,8 +360,7 @@ def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
     ``w_i * sigma_i(w)`` is the leverage score of row i of ``sqrt(W) A``;
     those products lie in [0, 1] and sum to n for any valid weights.
     """
-    quad = cholesky_of_weighted_gram(inst, w)
-    return _leverage_from_factor(inst, quad.L)
+    return _scores(inst, cholesky_of_weighted_gram(inst, w))
 
 
 def objective_value(inst: PolytopeInstance, w) -> float:

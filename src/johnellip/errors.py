@@ -53,3 +53,15 @@ class ParseError(JohnEllipsoidError):
 
 class GenerationFailedError(JohnEllipsoidError):
     """Random generation kept producing invalid matrices and gave up."""
+
+
+def check_unit_interval(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``0 < value < 1`` (epsilon, delta, tol)."""
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Raise :class:`DomainError` unless the count ``value`` is at least 1."""
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PolytopeInstance, leverage_scores
-from .errors import DomainError
+from .errors import check_count, check_unit_interval
 
 __all__ = [
     "FixedPointConfig",
@@ -30,8 +30,7 @@ __all__ = [
 
 def default_iterations(m: int, n: int, epsilon: float) -> int:
     """Iteration count ``max(1, ceil((2/epsilon) * log(m/n)))``."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_unit_interval("epsilon", epsilon)
     return max(1, math.ceil((2.0 / epsilon) * math.log(m / n)))
 
 
@@ -46,10 +45,9 @@ class FixedPointConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.iterations is not None and self.iterations < 1:
-            raise DomainError(f"iterations must be >= 1, got {self.iterations!r}")
+        check_unit_interval("epsilon", self.epsilon)
+        if self.iterations is not None:
+            check_count("iterations", self.iterations)
 
     def resolve_iterations(self, m: int, n: int) -> int:
         if self.iterations is not None:
@@ -62,12 +60,13 @@ class SolveTrace:
     """Per-iterate records; empty unless ``record_history`` was set.
 
     Row k holds the iterate index k (1-based), ``max_i sigma_i(w^(k))``,
-    ``sum(w^(k))`` and the wall milliseconds of the sweep from ``w^(k)``:
-    the exact scores for the fixed-point solver, the sketched sweep for the
-    sketched one.  The final iterate's score maximum requires one exact
-    leverage evaluation the solver itself does not need, so traces cost one
-    extra sweep, which the final row times.  The sketched solver's exact
-    maxima for the earlier rows are likewise trace-only and not timed.
+    ``sum(w^(k))`` and the wall milliseconds of the whole step from
+    ``w^(k)`` to ``w^(k+1)``: the exact scores and the rescaling for the
+    fixed-point solver, the sketched sweep for the sketched one.  The final
+    iterate's score maximum requires one exact leverage evaluation the
+    solver itself does not need, so traces cost one extra sweep, which the
+    final row times.  The sketched solver's exact maxima for the earlier
+    rows are likewise trace-only and not timed.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -85,6 +84,33 @@ class SolveTrace:
         return len(self.iterations)
 
 
+def _average_iterates(inst: PolytopeInstance, total: int, step, exact, record: bool):
+    """Average ``w^(0..T-1)`` from the uniform start; return (average, trace).
+
+    ``step(w)`` returns ``w^(k+1)`` and the exact scores of ``w^(k)`` when it
+    computed them (else None); only ``step`` is timed.  ``exact(w)`` supplies
+    the scores that exist only for the trace, and the final row times it.
+    """
+    trace = SolveTrace()
+    w = np.full(inst.m, inst.n / inst.m)
+    accum = w.copy()
+    for k in range(1, total):
+        start = time.perf_counter()
+        w_next, sigma = step(w)
+        elapsed = (time.perf_counter() - start) * 1e3
+        if record:
+            sigma = exact(w) if sigma is None else sigma
+            trace.add(k, float(sigma.max()), float(w.sum()), elapsed)
+        w = w_next
+        accum += w
+    if record:
+        start = time.perf_counter()
+        sigma = exact(w)
+        trace.add(total, float(sigma.max()), float(w.sum()),
+                  (time.perf_counter() - start) * 1e3)
+    return accum / total, trace
+
+
 def fixed_point_solve(
     inst: PolytopeInstance, config: FixedPointConfig
 ) -> tuple[np.ndarray, SolveTrace]:
@@ -92,23 +118,12 @@ def fixed_point_solve(
 
     Deterministic: identical inputs produce bitwise-identical weights.
     """
-    m, n = inst.m, inst.n
-    total = config.resolve_iterations(m, n)
-    trace = SolveTrace()
 
-    w = np.full(m, n / m)
-    accum = w.copy()
-    for k in range(1, total):
-        start = time.perf_counter()
+    def step(w):
         sigma = leverage_scores(inst, w)
-        elapsed = (time.perf_counter() - start) * 1e3
-        if config.record_history:
-            trace.add(k, float(sigma.max()), float(w.sum()), elapsed)
-        w = w * sigma
-        accum += w
-    if config.record_history:
-        start = time.perf_counter()
-        sigma = leverage_scores(inst, w)
-        elapsed = (time.perf_counter() - start) * 1e3
-        trace.add(total, float(sigma.max()), float(w.sum()), elapsed)
-    return accum / total, trace
+        return w * sigma, sigma
+
+    total = config.resolve_iterations(inst.m, inst.n)
+    return _average_iterates(
+        inst, total, step, lambda w: leverage_scores(inst, w), config.record_history
+    )

@@ -21,14 +21,13 @@ identical inputs and seeds are bitwise reproducible.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PolytopeInstance, cholesky_of_weighted_gram, leverage_scores
-from .errors import DomainError
-from .fixed_point import SolveTrace
+from .errors import DomainError, check_count, check_unit_interval
+from .fixed_point import SolveTrace, _average_iterates
 
 __all__ = [
     "SketchConfig",
@@ -42,17 +41,14 @@ __all__ = [
 
 def default_sketch_rows(epsilon: float) -> int:
     """Sketch size ``ceil(80 / epsilon)``."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_unit_interval("epsilon", epsilon)
     return math.ceil(80.0 / epsilon)
 
 
 def default_sketch_iterations(m: int, epsilon: float, delta: float) -> int:
     """Iteration count ``ceil((10/epsilon) * log(m/delta))``."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
+    check_unit_interval("epsilon", epsilon)
+    check_unit_interval("delta", delta)
     return max(1, math.ceil((10.0 / epsilon) * math.log(m / delta)))
 
 
@@ -74,16 +70,14 @@ class SketchConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
+        check_unit_interval("epsilon", self.epsilon)
+        check_unit_interval("delta", self.delta)
         if not isinstance(self.seed, int) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.sketch_rows is not None and self.sketch_rows < 1:
-            raise DomainError(f"sketch_rows must be >= 1, got {self.sketch_rows!r}")
-        if self.iterations is not None and self.iterations < 1:
-            raise DomainError(f"iterations must be >= 1, got {self.iterations!r}")
+        if self.sketch_rows is not None:
+            check_count("sketch_rows", self.sketch_rows)
+        if self.iterations is not None:
+            check_count("iterations", self.iterations)
 
     def resolve_sketch_rows(self) -> int:
         if self.sketch_rows is not None:
@@ -102,19 +96,18 @@ def _sketch_step(
     """One sketched sweep: estimate ``w_i * sigma_i(w)`` for every row.
 
     Computes ``S B`` first (rows x n), then applies ``(B^T B)^{-1}`` as two
-    products by the inverse ``L^{-1}`` of its Cholesky factor (n x n, formed
-    once per sweep), so every dense call stays on numpy's BLAS.
+    products by the inverse ``L^{-1}`` of its Cholesky factor (n x n,
+    ``quad.inv_l``), so every dense call stays on numpy's BLAS.
     """
     root = np.sqrt(w)
     quad = cholesky_of_weighted_gram(inst, w)
-    inv_l = np.linalg.inv(quad.L)
     sketch = rng.standard_normal((rows, inst.m))
     scaled = sketch * root
     if inst.is_sparse:
         projected = (inst.matrix.T @ scaled.T).T
     else:
         projected = scaled @ inst.matrix
-    flat = (projected @ inv_l.T) @ inv_l
+    flat = (projected @ quad.inv_l.T) @ quad.inv_l
     image = inst.matrix @ flat.T
     return w * np.einsum("ij,ij->i", image, image) / rows
 
@@ -127,31 +120,16 @@ def sketched_solve(
     The returned vector averages all T iterates and is rescaled by
     ``n / sum`` so it sums to n up to rounding in the final multiply.
     """
-    m, n = inst.m, inst.n
     rows = config.resolve_sketch_rows()
-    total = config.resolve_iterations(m)
     rng = np.random.default_rng(config.seed)
-    trace = SolveTrace()
-
-    w = np.full(m, n / m)
-    accum = w.copy()
-    for k in range(1, total):
-        if config.record_history:
-            exact_max, mass = float(leverage_scores(inst, w).max()), float(w.sum())
-        start = time.perf_counter()
-        w = _sketch_step(inst, w, rows, rng)
-        if config.record_history:
-            trace.add(k, exact_max, mass, (time.perf_counter() - start) * 1e3)
-        accum += w
-    if config.record_history:
-        start = time.perf_counter()
-        exact = leverage_scores(inst, w)
-        trace.add(total, float(exact.max()), float(w.sum()),
-                  (time.perf_counter() - start) * 1e3)
-
-    averaged = accum / total
-    rescaled = averaged * (n / averaged.sum())
-    return rescaled, trace
+    averaged, trace = _average_iterates(
+        inst,
+        config.resolve_iterations(inst.m),
+        lambda w: (_sketch_step(inst, w, rows, rng), None),
+        lambda w: leverage_scores(inst, w),
+        config.record_history,
+    )
+    return averaged * (inst.n / averaged.sum()), trace
 
 
 @dataclass(frozen=True)
@@ -182,8 +160,7 @@ def expected_row_sum_distribution_check(
     Per-trial generators are spawned from ``SeedSequence(config.seed)`` so
     the trials are independent yet fully reproducible.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
+    check_count("trials", trials)
     m, n = inst.m, inst.n
     rows = config.resolve_sketch_rows()
     uniform = np.full(m, n / m)

@@ -28,6 +28,7 @@ from johnellip import (
     sketched_solve,
     volume_ratio,
 )
+from johnellip import certification
 
 
 class TestCertify:
@@ -287,6 +288,69 @@ class TestOracle:
     def test_bad_arguments(self, diamond, kwargs):
         with pytest.raises(DomainError):
             oracle_solve(diamond, **kwargs)
+
+
+class TestOneFactorizationPerWeightVector:
+    """Each grade of a weight vector factors Q(w) once and forms one L^{-1}.
+
+    Dense A scores through row blocks times ``L^{-T}``; CSR with sparse rows
+    through the row-pair operator and ``Q^{-1}``.  Factorizations that only
+    supply a logdet (the reference weights) form no inverse.
+    """
+
+    GRADES = {
+        "certify": (lambda inst, w, ref: certify(inst, w, 0.2), 1, 1),
+        "containment_check": (lambda inst, w, ref: containment_check(inst, w, 100), 1, 1),
+        "duality_gap": (lambda inst, w, ref: duality_gap(inst, w), 1, 1),
+        "duality_gap_with_oracle": (lambda inst, w, ref: duality_gap(inst, w, ref), 2, 1),
+        "volume_ratio": (lambda inst, w, ref: volume_ratio(inst, w, ref.weights), 2, 1),
+    }
+
+    @staticmethod
+    def instance(storage):
+        rng = np.random.default_rng(3)
+        matrix = rng.standard_normal((120, 5))
+        matrix[rng.random((120, 5)) < 0.5] = 0.0
+        matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 0] = 1.0
+        inst = build_instance(matrix if storage == "dense" else sp.csr_array(matrix))
+        assert (inst._pairs is not None) == (storage == "csr")
+        return inst
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        counts = {"factorizations": 0, "inverses": 0}
+        factor, inverse = certification.cholesky_of_weighted_gram, np.linalg.inv
+
+        def counting_factor(*args):
+            counts["factorizations"] += 1
+            return factor(*args)
+
+        def counting_inverse(*args):
+            counts["inverses"] += 1
+            return inverse(*args)
+
+        monkeypatch.setattr(certification, "cholesky_of_weighted_gram", counting_factor)
+        monkeypatch.setattr(np.linalg, "inv", counting_inverse)
+        return counts
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("grade", sorted(GRADES))
+    def test_grading_calls(self, storage, grade, monkeypatch):
+        inst = self.instance(storage)
+        w, _ = fixed_point_solve(inst, FixedPointConfig(epsilon=0.2))
+        ref = oracle_solve(inst)
+        call, factorizations, inverses = self.GRADES[grade]
+        counts = self.count_kernel_calls(monkeypatch)
+        call(inst, w, ref)
+        assert counts == {"factorizations": factorizations, "inverses": inverses}
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_oracle_refreshes(self, storage, monkeypatch):
+        inst = self.instance(storage)
+        counts = self.count_kernel_calls(monkeypatch)
+        oracle_solve(inst)
+        assert counts["factorizations"] >= 2
+        assert counts["inverses"] == counts["factorizations"]
 
 
 def test_solvers_agree_with_reference_logdet():
