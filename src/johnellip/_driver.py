@@ -13,10 +13,10 @@ from .certification import certify, oracle_solve
 from .cli import RunRequest
 from .core import PolytopeInstance, validate_weights
 from .errors import DomainError, JohnEllipsoidError, check_count, check_unit_interval
-from .fixed_point import FixedPointConfig, SolveTrace, default_iterations, fixed_point_solve
+from .fixed_point import FixedPointConfig, default_iterations, fixed_point_solve
 from .generators import generate, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
-from .reports import render_report_json, render_trace_csv, write_report
+from .reports import _render
 from .sketched import SketchConfig, sketched_solve
 
 __all__ = ["run"]
@@ -60,47 +60,70 @@ def _validate(request: RunRequest) -> None:
             raise DomainError("bench grids must be non-empty")
 
 
+def _generated(request: RunRequest) -> PolytopeInstance:
+    return generate(parse_generator_spec(request.generator, default_seed=request.seed))
+
+
 def _load_instance(request: RunRequest) -> PolytopeInstance:
     if request.input_path is not None:
         return read_matrix_market(request.input_path)
-    spec = parse_generator_spec(request.generator, default_seed=request.seed)
-    return generate(spec)
+    return _generated(request)
 
 
-def _effective_epsilon(request: RunRequest, inst: PolytopeInstance) -> float:
-    if not request.volume_mode:
-        return request.epsilon
-    eps = request.epsilon / inst.n
-    if request.iterations is None:
-        implied = default_iterations(inst.m, inst.n, eps)
-        if implied > _VOLUME_MODE_ITER_WARN:
-            print(
-                f"warning: volume mode implies {implied} iterations "
-                f"(eps={eps:.3e}); consider --iters",
-                file=sys.stderr,
-            )
-    return eps
-
-
-def _emit(request: RunRequest, fields: dict, trace: SolveTrace | None) -> None:
-    if request.out_path is not None:
-        write_report(fields, trace, request.out_path, request.fmt)
-    elif request.fmt == "json":
-        sys.stdout.write(render_report_json(fields))
+def _emit(request: RunRequest, text: str) -> None:
+    if request.out_path is None:
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(render_trace_csv(trace if trace is not None else SolveTrace()))
+        with open(request.out_path, "w", encoding="ascii") as handle:
+            handle.write(text)
 
 
-def _report_fields(
-    inst: PolytopeInstance,
-    report,
-    *,
-    iterations: int,
-    wall_ms: float,
-    seed: int,
-    algorithm: str,
-) -> dict:
-    return {
+def _weights(request: RunRequest, inst: PolytopeInstance):
+    """The command's weights as (weights, trace, iterations, target, algorithm)."""
+    if request.command == "verify":
+        with open(request.weights_path, "r", encoding="ascii") as handle:
+            weights = validate_weights(json.load(handle), inst.m)
+        return weights, None, 0, request.epsilon, "verify"
+    if request.command == "oracle":
+        solution = oracle_solve(inst, request.tol, request.max_iters)
+        return solution.weights, None, solution.iterations, request.tol, "oracle"
+    eps = request.epsilon / inst.n if request.volume_mode else request.epsilon
+    record = request.trace or request.fmt == "csv"
+    if request.command == "solve":
+        config = FixedPointConfig(epsilon=eps, iterations=request.iterations, record_history=record)
+        solve, algorithm = fixed_point_solve, "fixed-point"
+        total, target = config.resolve_iterations(inst.m, inst.n), eps
+    else:
+        config = SketchConfig(
+            epsilon=eps, delta=request.delta, seed=request.seed,
+            sketch_rows=request.sketch_rows, iterations=request.iterations,
+            record_history=record,
+        )
+        solve, algorithm = sketched_solve, "sketched"
+        # The sketched guarantee is multiplicative: certify at (1+eps)^2 - 1.
+        total, target = config.resolve_iterations(inst.m), (1.0 + eps) ** 2 - 1.0
+    if request.volume_mode and request.iterations is None and total > _VOLUME_MODE_ITER_WARN:
+        print(
+            f"warning: volume mode implies {total} iterations "
+            f"(eps={eps:.3e}); consider --iters",
+            file=sys.stderr,
+        )
+    weights, trace = solve(inst, config)
+    return weights, trace, total, target, algorithm
+
+
+def _run_graded(request: RunRequest) -> int:
+    inst = _load_instance(request)
+    start = time.perf_counter()
+    weights, trace, iterations, target, algorithm = _weights(request, inst)
+    solved = time.perf_counter()
+    report = certify(
+        inst, weights, target,
+        containment_samples=request.samples, containment_seed=request.seed,
+    )
+    # wall_ms times the solver, or certify for verify, whose weights are given.
+    wall_ms = (time.perf_counter() - solved if algorithm == "verify" else solved - start) * 1e3
+    fields = {
         "m": inst.m,
         "n": inst.n,
         "epsilon_target": report.target_epsilon,
@@ -111,99 +134,24 @@ def _report_fields(
         "logdet": report.logdet,
         "iterations": iterations,
         "wall_ms": wall_ms,
-        "seed": seed,
+        "seed": request.seed,
         "algorithm": algorithm,
         "certified": report.passed,
     }
-
-
-def _run_solve(request: RunRequest) -> int:
-    inst = _load_instance(request)
-    eps = _effective_epsilon(request, inst)
-    record = request.trace or request.fmt == "csv"
-    config = FixedPointConfig(epsilon=eps, iterations=request.iterations, record_history=record)
-    start = time.perf_counter()
-    weights, trace = fixed_point_solve(inst, config)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    report = certify(
-        inst, weights, eps,
-        containment_samples=request.samples, containment_seed=request.seed,
-    )
-    fields = _report_fields(
-        inst, report,
-        iterations=config.resolve_iterations(inst.m, inst.n),
-        wall_ms=wall_ms, seed=request.seed, algorithm="fixed-point",
-    )
-    _emit(request, fields, trace)
-    return _EXIT_OK if report.passed else _EXIT_NOT_CERTIFIED
-
-
-def _run_solve_sketched(request: RunRequest) -> int:
-    inst = _load_instance(request)
-    eps = _effective_epsilon(request, inst)
-    record = request.trace or request.fmt == "csv"
-    config = SketchConfig(
-        epsilon=eps, delta=request.delta, seed=request.seed,
-        sketch_rows=request.sketch_rows, iterations=request.iterations,
-        record_history=record,
-    )
-    start = time.perf_counter()
-    weights, trace = sketched_solve(inst, config)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    # The sketched guarantee is multiplicative: certify at (1+eps)^2 - 1.
-    target = (1.0 + eps) ** 2 - 1.0
-    report = certify(
-        inst, weights, target,
-        containment_samples=request.samples, containment_seed=request.seed,
-    )
-    fields = _report_fields(
-        inst, report,
-        iterations=config.resolve_iterations(inst.m),
-        wall_ms=wall_ms, seed=request.seed, algorithm="sketched",
-    )
-    _emit(request, fields, trace)
-    return _EXIT_OK if report.passed else _EXIT_NOT_CERTIFIED
-
-
-def _run_verify(request: RunRequest) -> int:
-    inst = _load_instance(request)
-    with open(request.weights_path, "r", encoding="ascii") as handle:
-        weights = validate_weights(json.load(handle), inst.m)
-    start = time.perf_counter()
-    report = certify(
-        inst, weights, request.epsilon,
-        containment_samples=request.samples, containment_seed=request.seed,
-    )
-    wall_ms = (time.perf_counter() - start) * 1e3
-    fields = _report_fields(
-        inst, report, iterations=0, wall_ms=wall_ms,
-        seed=request.seed, algorithm="verify",
-    )
-    _emit(request, fields, None)
-    return _EXIT_OK if report.passed else _EXIT_NOT_CERTIFIED
-
-
-def _run_oracle(request: RunRequest) -> int:
-    inst = _load_instance(request)
-    start = time.perf_counter()
-    solution = oracle_solve(inst, request.tol, request.max_iters)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    report = certify(
-        inst, solution.weights, request.tol,
-        containment_samples=request.samples, containment_seed=request.seed,
-    )
-    fields = _report_fields(
-        inst, report, iterations=solution.iterations, wall_ms=wall_ms,
-        seed=request.seed, algorithm="oracle",
-    )
-    _emit(request, fields, None)
+    _emit(request, _render(fields, trace, request.fmt))
+    if not (report.containment_inner_pass and report.containment_outer_pass):
+        print(
+            f"containment: {report.containment_inner_violations} inner and "
+            f"{report.containment_outer_violations} outer violations "
+            f"in {report.containment_samples} samples",
+            file=sys.stderr,
+        )
+        return _EXIT_NOT_CERTIFIED
     return _EXIT_OK if report.passed else _EXIT_NOT_CERTIFIED
 
 
 def _run_gen(request: RunRequest) -> int:
-    spec = parse_generator_spec(request.generator, default_seed=request.seed)
-    inst = generate(spec)
-    write_matrix_market(request.out_path, inst)
+    write_matrix_market(request.out_path, _generated(request))
     return _EXIT_OK
 
 
@@ -229,20 +177,15 @@ def _run_bench(request: RunRequest) -> int:
                     f"{statistics.median(walls):.17g},{statistics.fmean(walls):.17g},{model}"
                 )
                 cell += 1
-    text = "\n".join(lines) + "\n"
-    if request.out_path is not None:
-        with open(request.out_path, "w", encoding="ascii") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(request, "\n".join(lines) + "\n")
     return _EXIT_OK
 
 
 _COMMANDS = {
-    "solve": _run_solve,
-    "solve-sketched": _run_solve_sketched,
-    "verify": _run_verify,
-    "oracle": _run_oracle,
+    "solve": _run_graded,
+    "solve-sketched": _run_graded,
+    "verify": _run_graded,
+    "oracle": _run_graded,
     "gen": _run_gen,
     "bench": _run_bench,
 }

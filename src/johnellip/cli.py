@@ -4,9 +4,10 @@ Subcommands: ``solve`` (exact weights), ``solve-sketched`` (randomized
 weights), ``verify`` (grade supplied weights), ``oracle`` (reference
 weights via greedy ascent), ``gen`` (write a generated instance), and
 ``bench`` (timing sweeps).  Exit codes: 0 when the run certified (or the
-action simply succeeded), 1 when it ran but did not certify, 2 for invalid
-requests, 3 for runtime failures; failures print one JSON object
-``{"error": ..., "message": ...}`` to stderr.
+action simply succeeded), 1 when it ran but did not certify or sampled
+containment found a violation, 2 for invalid requests, 3 for runtime
+failures; failures print one JSON object ``{"error": ..., "message": ...}``
+to stderr.
 
 The environment variable ``JOHN_THREADS`` caps BLAS/OpenMP parallelism
 (0 or unset means automatic).  The cap is applied by exporting the usual

@@ -79,17 +79,21 @@ def render_trace_csv(trace: SolveTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render(fields: dict, trace: SolveTrace | None, fmt: str) -> str:
+    # The one place that maps a report format to text.
+    if fmt == "json":
+        return render_report_json(fields)
+    if fmt == "csv":
+        return render_trace_csv(trace if trace is not None else SolveTrace())
+    raise ValueError(f"unknown report format {fmt!r} (json or csv)")
+
+
 def write_report(fields: dict, trace: SolveTrace | None, path, fmt: str) -> None:
     """Write the JSON report or the CSV trace to ``path``.
 
     ``fmt`` must be ``"json"`` or ``"csv"``; I/O errors propagate as
     :class:`OSError`.
     """
-    if fmt == "json":
-        text = render_report_json(fields)
-    elif fmt == "csv":
-        text = render_trace_csv(trace if trace is not None else SolveTrace())
-    else:
-        raise ValueError(f"unknown report format {fmt!r} (json or csv)")
+    text = _render(fields, trace, fmt)
     with open(path, "w", encoding="ascii") as handle:
         handle.write(text)

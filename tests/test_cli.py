@@ -8,8 +8,18 @@ import sys
 import numpy as np
 import pytest
 
+import johnellip._driver
+import johnellip.certification
 from conftest import DIAMOND_ROWS
-from johnellip import RunRequest, build_instance, run, write_matrix_market
+from johnellip import (
+    TRACE_HEADER,
+    ContainmentResult,
+    RunRequest,
+    SolveTrace,
+    build_instance,
+    run,
+    write_matrix_market,
+)
 
 
 def run_cli(*args, env_extra=None):
@@ -269,3 +279,88 @@ class TestProgrammaticRun:
         )
         assert run(request) == 0
         assert json.loads(out.read_text())["certified"] is True
+
+
+# (command, request fields, algorithm, iterations, epsilon_target).  Sketched
+# certifies at (1 + 0.5)^2 - 1; solve runs ceil(4 log 20) = 12 sweeps and
+# solve-sketched ceil(20 log(100 / 0.1)) = 139.
+GRADED = [
+    ("solve", {"generator": "gaussian-dense:100x5:seed=3", "epsilon": 0.5},
+     "fixed-point", 12, 0.5),
+    ("solve-sketched", {"generator": "gaussian-dense:100x5:seed=3", "epsilon": 0.5},
+     "sketched", 139, 1.25),
+    ("verify", {"generator": "rotated-diamond:seed=3", "epsilon": 0.01},
+     "verify", 0, 0.01),
+    ("oracle", {"generator": "rotated-diamond:seed=3"}, "oracle", 2, 1e-6),
+]
+
+
+class TestGradedPath:
+    # solve, solve-sketched, verify and oracle share one load, weights,
+    # certify and emit path; each command supplies only its weights.
+    @pytest.mark.parametrize(
+        "command,fields,algorithm,iterations,target", GRADED, ids=[g[0] for g in GRADED]
+    )
+    def test_report_and_trace(
+        self, tmp_path, diamond_weights, command, fields, algorithm, iterations, target
+    ):
+        if command == "verify":
+            fields = {**fields, "weights_path": str(diamond_weights)}
+        out = tmp_path / "report.json"
+        assert run(RunRequest(command=command, out_path=str(out), **fields)) == 0
+        report = json.loads(out.read_text())
+        assert report["algorithm"] == algorithm
+        assert report["iterations"] == iterations
+        assert report["epsilon_target"] == target
+        assert report["certified"] is True
+
+        csv = tmp_path / "trace.csv"
+        request = RunRequest(command=command, out_path=str(csv), fmt="csv", **fields)
+        assert run(request) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == TRACE_HEADER
+        if command in ("verify", "oracle"):
+            # Neither runs a sweep loop, so the trace is the header alone.
+            assert csv.read_text() == TRACE_HEADER + "\n"
+        else:
+            assert [int(line.split(",")[0]) for line in lines[1:]] == list(
+                range(1, iterations + 1)
+            )
+
+    def test_volume_mode_warns_with_the_sketched_iteration_count(self, monkeypatch, capsys):
+        # At eps = 0.0005 / 10 the sketched T is ceil(2e5 log(200 / 0.1)) =
+        # 1520181, above the warning threshold; the exact T would be 119830.
+        seen = []
+
+        def stub(inst, config):
+            seen.append(config.resolve_iterations(inst.m))
+            return np.full(inst.m, inst.n / inst.m), SolveTrace()
+
+        monkeypatch.setattr(johnellip._driver, "sketched_solve", stub)
+        request = RunRequest(
+            command="solve-sketched", generator="gaussian-dense:200x10:seed=0",
+            epsilon=0.0005, volume_mode=True, samples=0,
+        )
+        run(request)
+        captured = capsys.readouterr()
+        assert seen == [1520181]
+        assert "warning: volume mode implies 1520181 iterations" in captured.err
+        assert json.loads(captured.out)["iterations"] == 1520181
+
+    @pytest.mark.parametrize("samples,code", [(5, 1), (0, 0)])
+    def test_sampled_containment_violation_fails_the_run(
+        self, monkeypatch, capsys, samples, code
+    ):
+        def one_violation(inst, quad, eps_hat, count, seed):
+            return ContainmentResult(False, True, 1, 0, count)
+
+        monkeypatch.setattr(johnellip.certification, "_containment", one_violation)
+        request = RunRequest(command="solve", generator="identity-cube:3", samples=samples)
+        assert run(request) == code
+        captured = capsys.readouterr()
+        # The report keeps its bytes: certified is the score and mass verdict.
+        assert json.loads(captured.out)["certified"] is True
+        if samples:
+            assert captured.err == "containment: 1 inner and 0 outer violations in 5 samples\n"
+        else:
+            assert captured.err == ""

@@ -9,9 +9,12 @@ from conftest import DIAMOND_ROWS, gaussian, reference_scores
 from johnellip import (
     DomainError,
     FixedPointConfig,
+    GeneratorSpec,
     build_instance,
+    certify,
     default_iterations,
     fixed_point_solve,
+    generate,
     leverage_scores,
 )
 
@@ -125,6 +128,26 @@ def test_bound_on_scores_of_average():
         total = default_iterations(200, 10, eps)
         bound = math.log(200 / 10) / total + 1e-9
         assert np.log(leverage_scores(inst, w)).max() <= bound
+
+
+@pytest.mark.parametrize(
+    "spec,total",
+    [
+        (GeneratorSpec("gaussian-dense", 400, 10, seed=0), 5000),
+        # CSR with 1943 nonempty rows.
+        (GeneratorSpec("sparse-bernoulli", 2000, 10, seed=1, density=0.3), 3000),
+    ],
+    ids=["dense", "csr"],
+)
+def test_long_runs_keep_the_uniform_start_in_the_average(spec, total):
+    # Rows off the support decay geometrically, but the accumulator only adds
+    # nonnegative iterates to the uniform start, so min(w) >= (n/m)/T exactly.
+    inst = generate(spec)
+    w, _ = fixed_point_solve(inst, FixedPointConfig(epsilon=0.1, iterations=total))
+    assert w.min() >= (inst.n / inst.m) / total
+    report = certify(inst, w, 0.1)
+    assert report.passed
+    assert report.containment_inner_pass and report.containment_outer_pass
 
 
 def test_deterministic():
