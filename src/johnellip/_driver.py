@@ -22,6 +22,7 @@ from .sketched import SketchConfig, sketched_solve
 __all__ = ["run"]
 
 _VOLUME_MODE_ITER_WARN = 10**6
+_VOLUME_MODE_BLOCK_WARN_GIB = 1.0
 
 _EXIT_OK = 0
 _EXIT_NOT_CERTIFIED = 1
@@ -93,6 +94,7 @@ def _weights(request: RunRequest, inst: PolytopeInstance):
         config = FixedPointConfig(epsilon=eps, iterations=request.iterations, record_history=record)
         solve, algorithm = fixed_point_solve, "fixed-point"
         total, target = config.resolve_iterations(inst.m, inst.n), eps
+        implied, block_gib = f"{total} iterations", 0.0
     else:
         config = SketchConfig(
             epsilon=eps, delta=request.delta, seed=request.seed,
@@ -102,10 +104,20 @@ def _weights(request: RunRequest, inst: PolytopeInstance):
         solve, algorithm = sketched_solve, "sketched"
         # The sketched guarantee is multiplicative: certify at (1+eps)^2 - 1.
         total, target = config.resolve_iterations(inst.m), (1.0 + eps) ** 2 - 1.0
-    if request.volume_mode and request.iterations is None and total > _VOLUME_MODE_ITER_WARN:
+        rows = config.resolve_sketch_rows()
+        block_gib = rows * inst.m * 8 / 2**30  # one float64 s x m Gaussian block
+        implied = (
+            f"{total} iterations and {rows} sketch rows, "
+            f"a {block_gib:.2f} GiB {rows} x {inst.m} block per sweep"
+        )
+    if request.volume_mode and (
+        (request.iterations is None and total > _VOLUME_MODE_ITER_WARN)
+        or block_gib > _VOLUME_MODE_BLOCK_WARN_GIB
+    ):
         print(
-            f"warning: volume mode implies {total} iterations "
-            f"(eps={eps:.3e}); consider --iters",
+            f"warning: volume mode implies {implied} "
+            f"(eps={eps:.3e}); consider --iters"
+            + (" and --sketch-rows" if algorithm == "sketched" else ""),
             file=sys.stderr,
         )
     weights, trace = solve(inst, config)

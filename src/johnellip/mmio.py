@@ -9,9 +9,20 @@ Anything else (complex or pattern fields, symmetric storage, vectors) is a
 :class:`ParseError` carrying the offending line number.  Values are written
 with 17 significant digits so write/read round-trips reproduce float64
 entries exactly.
+
+The header, the comment lines and the size line are read line by line; the
+entry block after them is parsed in bulk by one ``numpy.loadtxt`` call.  The
+per-line parser is the reference: it takes over whenever the bulk parse
+raises or its result fails a check (entry count, index range), which is
+what a ``%`` comment or any other non-data line inside the entry block
+does, and for a file holding a byte that Python ends lines at but numpy
+does not.  So both accept the same files and give bitwise-identical
+matrices, and every error still names its line.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +33,14 @@ from .errors import ParseError
 __all__ = ["read_matrix_market", "write_matrix_market"]
 
 _HEADER_PREFIX = "%%matrixmarket"
+
+_COORDINATE_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_ARRAY_ENTRY = np.dtype([("v", np.float64)])
+
+# str.splitlines ends a line at these ASCII characters as well, while
+# numpy.loadtxt reads them as spaces; a file holding one is left to the
+# per-line parser.
+_SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 def _tokens(text: str, lineno: int, count: int, what: str) -> list[str]:
@@ -45,25 +64,19 @@ def _to_float(token: str, lineno: int, what: str) -> float:
         raise ParseError(f"bad {what} {token!r}", lineno) from None
 
 
-def read_matrix_market(path) -> PolytopeInstance:
-    """Read a constraint matrix and validate it as an instance.
+def _read_preamble(numbered) -> tuple[str, int, int, int, int]:
+    """Read the header and size line from ``(line number, text)`` pairs.
 
-    Raises :class:`ParseError` with a line number for malformed content;
-    validation failures (zero rows, rank loss, bad shape) propagate from
-    :func:`build_instance`.
+    Returns ``(layout, m, n, entry count, size line number)`` and leaves
+    ``numbered`` at the line after the size line.
     """
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
-
-    header_line = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header_line = (lineno, raw.strip())
+    for lineno, raw in numbered:
+        header = raw.strip()
+        if header:
             break
-    if header_line is None:
+    else:
         raise ParseError("empty file")
 
-    lineno, header = header_line
     parts = header.lower().split()
     if len(parts) != 5 or parts[0] != _HEADER_PREFIX:
         raise ParseError(f"not a Matrix Market header: {header!r}", lineno)
@@ -77,27 +90,42 @@ def read_matrix_market(path) -> PolytopeInstance:
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r} (only 'general')", lineno)
 
-    body = [
-        (no, raw.strip())
-        for no, raw in enumerate(lines, start=1)
-        if no > lineno and raw.strip() and not raw.lstrip().startswith("%")
-    ]
-    if not body:
+    for size_lineno, raw in numbered:
+        size_text = raw.strip()
+        if size_text and not size_text.startswith("%"):
+            break
+    else:
         raise ParseError("missing size line")
-    size_lineno, size_text = body[0]
-    entries = body[1:]
 
     if layout == "coordinate":
         tokens = _tokens(size_text, size_lineno, 3, "size")
         m = _to_int(tokens[0], size_lineno, "row count")
         n = _to_int(tokens[1], size_lineno, "column count")
-        nnz = _to_int(tokens[2], size_lineno, "entry count")
-        if len(entries) != nnz:
-            raise ParseError(f"expected {nnz} entries, file has {len(entries)}",
-                             entries[-1][0] if entries else size_lineno)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
+        count = _to_int(tokens[2], size_lineno, "entry count")
+    else:
+        tokens = _tokens(size_text, size_lineno, 2, "size")
+        m = _to_int(tokens[0], size_lineno, "row count")
+        n = _to_int(tokens[1], size_lineno, "column count")
+        count = m * n
+    return layout, m, n, count, size_lineno
+
+
+def _parse_lines(path):
+    """The reference parser: one entry per line, each error with its line."""
+    with open(path, "r", encoding="ascii") as handle:
+        numbered = enumerate(handle.read().splitlines(), start=1)
+    layout, m, n, count, size_lineno = _read_preamble(numbered)
+    entries = [
+        (no, text) for no, raw in numbered if (text := raw.strip()) and not text.startswith("%")
+    ]
+    if len(entries) != count:
+        raise ParseError(f"expected {count} entries, file has {len(entries)}",
+                         entries[-1][0] if entries else size_lineno)
+
+    if layout == "coordinate":
+        rows = np.empty(count, dtype=np.int64)
+        cols = np.empty(count, dtype=np.int64)
+        vals = np.empty(count)
         for k, (no, text) in enumerate(entries):
             toks = _tokens(text, no, 3, "coordinate entry")
             i = _to_int(toks[0], no, "row index")
@@ -106,20 +134,57 @@ def read_matrix_market(path) -> PolytopeInstance:
                 raise ParseError(f"index ({i}, {j}) outside {m} x {n}", no)
             rows[k], cols[k] = i - 1, j - 1
             vals[k] = _to_float(toks[2], no, "value")
-        coo = sp.coo_array((vals, (rows, cols)), shape=(m, n))
-        return build_instance(coo.tocsr(), m=m, n=n)
+        return layout, m, n, (vals, rows, cols)
 
-    tokens = _tokens(size_text, size_lineno, 2, "size")
-    m = _to_int(tokens[0], size_lineno, "row count")
-    n = _to_int(tokens[1], size_lineno, "column count")
-    if len(entries) != m * n:
-        raise ParseError(f"expected {m * n} entries, file has {len(entries)}",
-                         entries[-1][0] if entries else size_lineno)
-    vals = np.empty(m * n)
+    vals = np.empty(count)
     for k, (no, text) in enumerate(entries):
         toks = _tokens(text, no, 1, "array entry")
         vals[k] = _to_float(toks[0], no, "value")
-    dense = vals.reshape((n, m)).T  # array format lists columns first
+    return layout, m, n, (vals,)
+
+
+def _parse_bulk(path):
+    """The same result as :func:`_parse_lines` from one ``loadtxt`` call, or None.
+
+    None hands the file to the per-line parser, which then decides what it
+    holds or which line is wrong: it, not numpy, defines a valid file.
+    """
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            if any(mark in chunk for mark in _SPLITLINES_ONLY_BREAKS):
+                return None
+    with open(path, "r", encoding="ascii") as handle, warnings.catch_warnings():
+        # Any warning (no data; an int read as a float in older numpy) fails it.
+        warnings.simplefilter("error")
+        try:
+            layout, m, n, count, _ = _read_preamble(enumerate(handle, start=1))
+            dtype = _COORDINATE_ENTRY if layout == "coordinate" else _ARRAY_ENTRY
+            block = np.loadtxt(handle, dtype=dtype, comments=None, ndmin=1)
+        except (ParseError, ValueError, OverflowError, Warning):  # bad text or encoding
+            return None
+    if not count or block.shape != (count,):
+        return None
+    if layout == "array":
+        return layout, m, n, (np.ascontiguousarray(block["v"]),)
+    i, j = block["i"], block["j"]
+    if not (1 <= i.min() and i.max() <= m and 1 <= j.min() and j.max() <= n):
+        return None
+    return layout, m, n, (np.ascontiguousarray(block["v"]), i - 1, j - 1)
+
+
+def read_matrix_market(path) -> PolytopeInstance:
+    """Read a constraint matrix and validate it as an instance.
+
+    Raises :class:`ParseError` with a line number for malformed content;
+    validation failures (zero rows, rank loss, bad shape) propagate from
+    :func:`build_instance`.
+    """
+    layout, m, n, arrays = _parse_bulk(path) or _parse_lines(path)
+    if layout == "coordinate":
+        vals, rows, cols = arrays
+        coo = sp.coo_array((vals, (rows, cols)), shape=(m, n))
+        return build_instance(coo.tocsr(), m=m, n=n)
+    dense = arrays[0].reshape((n, m)).T  # array format lists columns first
     return build_instance(dense, m=m, n=n)
 
 
@@ -128,14 +193,15 @@ def write_matrix_market(path, inst: PolytopeInstance) -> None:
     with open(path, "w", encoding="ascii") as handle:
         if inst.is_sparse:
             matrix = inst.matrix.tocoo()
+            order = np.lexsort((matrix.col, matrix.row))
             handle.write("%%MatrixMarket matrix coordinate real general\n")
             handle.write(f"{inst.m} {inst.n} {matrix.nnz}\n")
-            order = np.lexsort((matrix.col, matrix.row))
-            for i, j, v in zip(matrix.row[order], matrix.col[order], matrix.data[order]):
-                handle.write(f"{i + 1} {j + 1} {v:.17g}\n")
+            rows = (matrix.row[order] + 1).tolist()
+            cols = (matrix.col[order] + 1).tolist()
+            vals = matrix.data[order].tolist()
+            handle.write("".join([f"{i} {j} {v:.17g}\n" for i, j, v in zip(rows, cols, vals)]))
         else:
             handle.write("%%MatrixMarket matrix array real general\n")
             handle.write(f"{inst.m} {inst.n}\n")
-            for col in range(inst.n):
-                for row in range(inst.m):
-                    handle.write(f"{inst.matrix[row, col]:.17g}\n")
+            values = inst.matrix.ravel(order="F").tolist()
+            handle.write("".join([f"{v:.17g}\n" for v in values]))

@@ -15,7 +15,9 @@ Randomness contract: a single ``numpy.random.default_rng(seed)`` stream
 (PCG64) supplies every sketch; iteration k consumes exactly ``s * m``
 standard normals via one ``standard_normal((s, m))`` call, so the stream is
 spent iteration-major, then row-major within each sketch matrix.  Runs with
-identical inputs and seeds are bitwise reproducible.
+identical inputs and seeds are bitwise reproducible.  Each sweep draws into
+one ``(s, m)`` buffer allocated per solve, which spends the stream exactly as
+a fresh ``standard_normal((s, m))`` would.
 """
 
 from __future__ import annotations
@@ -91,18 +93,23 @@ class SketchConfig:
 
 
 def _sketch_step(
-    inst: PolytopeInstance, w: np.ndarray, rows: int, rng: np.random.Generator
+    inst: PolytopeInstance,
+    w: np.ndarray,
+    rows: int,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One sketched sweep: estimate ``w_i * sigma_i(w)`` for every row.
 
     Computes ``S B`` first (rows x n), then applies ``(B^T B)^{-1}`` as two
     products by the inverse ``L^{-1}`` of its Cholesky factor (n x n,
-    ``quad.inv_l``), so every dense call stays on numpy's BLAS.
+    ``quad.inv_l``), so every dense call stays on numpy's BLAS.  ``S`` is
+    drawn into ``out`` (a ``rows x m`` float64 buffer) when one is given and
+    scaled there in place, so repeated sweeps reuse one block.
     """
-    root = np.sqrt(w)
     quad = cholesky_of_weighted_gram(inst, w)
-    sketch = rng.standard_normal((rows, inst.m))
-    scaled = sketch * root
+    scaled = rng.standard_normal((rows, inst.m), out=out)
+    scaled *= np.sqrt(w)
     if inst.is_sparse:
         projected = (inst.matrix.T @ scaled.T).T
     else:
@@ -122,10 +129,11 @@ def sketched_solve(
     """
     rows = config.resolve_sketch_rows()
     rng = np.random.default_rng(config.seed)
+    sketch = np.empty((rows, inst.m))
     averaged, trace = _average_iterates(
         inst,
         config.resolve_iterations(inst.m),
-        lambda w: (_sketch_step(inst, w, rows, rng), None),
+        lambda w: (_sketch_step(inst, w, rows, rng, sketch), None),
         lambda w: leverage_scores(inst, w),
         config.record_history,
     )
@@ -167,9 +175,10 @@ def expected_row_sum_distribution_check(
 
     children = np.random.SeedSequence(config.seed).spawn(trials)
     sums = np.empty(trials)
+    sketch = np.empty((rows, m))
     for t, child in enumerate(children):
         rng = np.random.default_rng(child)
-        sums[t] = _sketch_step(inst, uniform, rows, rng).sum()
+        sums[t] = _sketch_step(inst, uniform, rows, rng, sketch).sum()
 
     band = 3.0 * math.sqrt(2.0 * n / (rows * trials))
     mean = float(sums.mean())

@@ -347,6 +347,36 @@ class TestGradedPath:
         assert "warning: volume mode implies 1520181 iterations" in captured.err
         assert json.loads(captured.out)["iterations"] == 1520181
 
+    @pytest.mark.parametrize("iterations", [None, 3])
+    def test_volume_mode_warns_about_the_sketch_block(self, monkeypatch, capsys, iterations):
+        # At eps = 0.0005 / 10 the sketch has ceil(80 / 5e-5) = 1600000 rows:
+        # one 1600000 x 200 float64 block is 2.38 GiB, over the 1 GiB line
+        # even when --iters keeps the sweep count small.
+        monkeypatch.setattr(
+            johnellip._driver, "sketched_solve",
+            lambda inst, config: (np.full(inst.m, inst.n / inst.m), SolveTrace()),
+        )
+        request = RunRequest(
+            command="solve-sketched", generator="gaussian-dense:200x10:seed=0",
+            epsilon=0.0005, volume_mode=True, samples=0, iterations=iterations,
+        )
+        run(request)
+        err = capsys.readouterr().err
+        assert "1600000 sketch rows, a 2.38 GiB 1600000 x 200 block per sweep" in err
+        assert f"implies {iterations or 1520181} iterations" in err
+
+    def test_volume_mode_is_quiet_for_a_small_sketch(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            johnellip._driver, "sketched_solve",
+            lambda inst, config: (np.full(inst.m, inst.n / inst.m), SolveTrace()),
+        )
+        request = RunRequest(
+            command="solve-sketched", generator="gaussian-dense:200x10:seed=0",
+            epsilon=0.0005, volume_mode=True, samples=0, iterations=3, sketch_rows=1000,
+        )
+        run(request)
+        assert "warning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples,code", [(5, 1), (0, 0)])
     def test_sampled_containment_violation_fails_the_run(
         self, monkeypatch, capsys, samples, code

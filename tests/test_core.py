@@ -563,3 +563,43 @@ def test_cholesky_factor_roundtrip(pair):
     quad = cholesky_of_weighted_gram(inst, w)
     residual = np.abs(quad.L @ quad.L.T - quad.Q).max()
     assert residual <= 1e-10 * np.abs(quad.Q).max()
+
+
+@st.composite
+def well_conditioned_mixing(draw, n):
+    """``U diag(s) V^T`` with orthogonal U, V and singular values in [0.5, 2]."""
+    square = hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
+    left, _ = np.linalg.qr(draw(square))
+    right, _ = np.linalg.qr(draw(square))
+    singular = draw(hnp.arrays(np.float64, (n,), elements=st.floats(0.5, 2.0)))
+    return left @ np.diag(singular) @ right.T
+
+
+@st.composite
+def instance_weights_and_mixing(draw):
+    # Entries are 0 or at least 0.01 in size, so no row of A G underflows to
+    # zero, and the identity block keeps A well conditioned.
+    n = draw(st.integers(1, 4))
+    extra = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(-3.0, -0.01))
+    block = draw(hnp.arrays(np.float64, (extra, n), elements=entry))
+    block[~np.any(block != 0.0, axis=1), 0] = 1.0
+    w = draw(hnp.arrays(np.float64, (extra + n,), elements=st.floats(0.01, 10.0)))
+    return np.vstack([block, np.eye(n)]), w, draw(well_conditioned_mixing(n))
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@settings(max_examples=60, deadline=None)
+@given(problem=instance_weights_and_mixing())
+def test_scores_and_certificate_invariant_under_general_mixing(storage, problem):
+    # sigma_i depends on the polytope's rows only through their span, so any
+    # invertible G in A -> A G leaves every score, and so certify's
+    # max_sigma, unchanged; G here is dense, not just a column scaling.
+    matrix, w, mixing = problem
+    base, moved = _instance(matrix, storage), _instance(matrix @ mixing, storage)
+    scores = leverage_scores(base, w)
+    tolerance = 1e-9 * scores.max()
+    assert np.allclose(leverage_scores(moved, w), scores, rtol=1e-9, atol=tolerance)
+    max_sigma = certify(base, w, 0.5, containment_samples=0).max_sigma
+    moved_max = certify(moved, w, 0.5, containment_samples=0).max_sigma
+    assert moved_max == pytest.approx(max_sigma, rel=1e-9)

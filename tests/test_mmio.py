@@ -1,12 +1,14 @@
 """Matrix Market round-trips and strict rejection of unsupported variants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from johnellip import (
+    JohnEllipsoidError,
     ParseError,
     RankDeficientError,
     ZeroRowError,
@@ -14,6 +16,7 @@ from johnellip import (
     read_matrix_market,
     write_matrix_market,
 )
+from johnellip import mmio
 
 ARRAY_IDENTITY = """\
 %%MatrixMarket matrix array real general
@@ -280,3 +283,124 @@ class TestValidationPropagates:
         text = "%%MatrixMarket matrix array real general\n2 2\n1\n1\n2\n2\n"
         with pytest.raises(RankDeficientError):
             read_matrix_market(write(tmp_path, text))
+
+
+COORDINATE_2X2 = "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+ARRAY_2X1 = "%%MatrixMarket matrix array real general\n2 1\n"
+
+# (header and size line, entry block, does the bulk parse keep it?)
+ENTRY_BLOCKS = {
+    "plain": (COORDINATE_2X2, "1 1 2.5\n2 2 -1\n", True),
+    "plus-signs": (COORDINATE_2X2, "+1 +1 +2.5\n2 +2 +1\n", True),
+    "underscore-value": (COORDINATE_2X2, "1 1 1_0\n2 2 1\n", False),
+    "underscore-index": (COORDINATE_2X2, "1_0 1 1\n2 2 1\n", False),
+    "overflowing-value": (COORDINATE_2X2, "1 1 1e400\n2 2 1\n", True),
+    "nan-value": (COORDINATE_2X2, "1 1 nan\n2 2 1\n", True),
+    "hex-value": (COORDINATE_2X2, "1 1 0x10\n2 2 1\n", False),
+    "comment-line": (COORDINATE_2X2, "1 1 2.5\n% a comment\n2 2 1\n", False),
+    "trailing-comment": (COORDINATE_2X2, "1 1 2.5 % note\n2 2 1\n", False),
+    "tabs": (COORDINATE_2X2, "1\t1\t2.5\n2 \t2\t1\n", True),
+    "crlf": (COORDINATE_2X2, "1 1 2.5\r\n2 2 1\r\n", True),
+    "form-feed-inside": (COORDINATE_2X2, "1 1\x0c2.5\n2 2 1\n", False),
+    "form-feed-blank": (COORDINATE_2X2, "1 1 2.5\n\x0c\n2 2 1\n", False),
+    "blank-lines": (COORDINATE_2X2, "\n1 1 2.5\n  \n\t\n2 2 1\n\n", True),
+    "two-then-four-tokens": (COORDINATE_2X2, "1 1\n2 2 1 5\n", False),
+    "twenty-digit-index": (COORDINATE_2X2, "12345678901234567890 1 1\n2 2 1\n", False),
+    "index-out-of-range": (COORDINATE_2X2, "1 1 2.5\n2 3 1\n", False),
+    "too-many-entries": (COORDINATE_2X2, "1 1 2.5\n2 2 1\n1 2 1\n", False),
+    "non-ascii": (COORDINATE_2X2, "1 1 2.5\xe9\n2 2 1\n", False),
+    "no-entries": ("%%MatrixMarket matrix coordinate real general\n2 2 0\n", "", False),
+    "array-plain": (ARRAY_2X1, "1.5\n-2\n", True),
+    "array-two-values-on-one-line": (ARRAY_2X1, "1.5 -2\n", False),
+    "array-comment-line": (ARRAY_2X1, "1.5\n%\n-2\n", False),
+}
+
+
+def outcome(path):
+    """What reading ``path`` gives: the matrix's bytes, or the error."""
+    try:
+        inst = read_matrix_market(path)
+    except (JohnEllipsoidError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if inst.is_sparse:
+        m = inst.matrix
+        return m.indptr.tobytes(), m.indices.tobytes(), m.indices.dtype, m.data.tobytes()
+    return inst.matrix.tobytes(), inst.matrix.shape
+
+
+class TestBulkMatchesPerLine:
+    @pytest.mark.parametrize("name", list(ENTRY_BLOCKS))
+    def test_entry_block(self, tmp_path, monkeypatch, name):
+        preamble, block, bulk = ENTRY_BLOCKS[name]
+        path = tmp_path / "block.mtx"
+        path.write_bytes((preamble + block).encode("latin-1"))
+        assert (mmio._parse_bulk(path) is not None) == bulk
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            default = outcome(path)
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        monkeypatch.setattr(mmio, "_parse_bulk", lambda path: None)
+        assert outcome(path) == default
+
+    def test_non_ascii_byte_raises_decode_error(self, tmp_path):
+        path = tmp_path / "block.mtx"
+        path.write_bytes((COORDINATE_2X2 + "1 1 2.5\xe9\n2 2 1\n").encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            read_matrix_market(path)
+
+
+def random_float64_bits(rng, size):
+    """Finite float64 values from random bit patterns, kept to |x| in [1e-150, 1e150]."""
+    values = rng.integers(0, 2**64, 4 * size, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = values[np.isfinite(values) & (np.abs(values) >= 1e-150) & (np.abs(values) <= 1e150)]
+    return values[:size]
+
+
+def per_line_text(inst):
+    """The writer's output as it was built one entry at a time."""
+    if inst.is_sparse:
+        matrix = inst.matrix.tocoo()
+        lines = ["%%MatrixMarket matrix coordinate real general", f"{inst.m} {inst.n} {matrix.nnz}"]
+        order = np.lexsort((matrix.col, matrix.row))
+        for i, j, v in zip(matrix.row[order], matrix.col[order], matrix.data[order]):
+            lines.append(f"{i + 1} {j + 1} {v:.17g}")
+    else:
+        lines = ["%%MatrixMarket matrix array real general", f"{inst.m} {inst.n}"]
+        for col in range(inst.n):
+            for row in range(inst.m):
+                lines.append(f"{inst.matrix[row, col]:.17g}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+class TestBitPatterns:
+    M, N = 300, 4
+
+    @pytest.fixture
+    def inst(self, storage):
+        rng = np.random.default_rng(11)
+        block = random_float64_bits(rng, self.M * self.N).reshape(self.M, self.N)
+        block[0, 0], block[1, 1], block[2, 2] = -0.0, 1.0 / 3.0, np.nextafter(1.0, 2.0)
+        if storage == "dense":
+            return build_instance(block)
+        block[rng.random(block.shape) < 0.5] = 0.0
+        block[np.flatnonzero(~np.any(block != 0.0, axis=1)), 0] = 1.0
+        return build_instance(sp.csr_array(block))
+
+    def test_round_trip_is_bitwise(self, tmp_path, inst, storage):
+        path = tmp_path / "bits.mtx"
+        write_matrix_market(path, inst)
+        back = read_matrix_market(path)
+        assert mmio._parse_bulk(path) is not None
+        if storage == "dense":
+            assert back.matrix.tobytes() == inst.matrix.tobytes()
+        else:
+            # The reader's index dtype may be wider than the instance's.
+            assert np.array_equal(back.matrix.indptr, inst.matrix.indptr)
+            assert np.array_equal(back.matrix.indices, inst.matrix.indices)
+            assert back.matrix.data.tobytes() == inst.matrix.data.tobytes()
+
+    def test_writer_matches_per_line_text(self, tmp_path, inst, storage):
+        path = tmp_path / "bits.mtx"
+        write_matrix_market(path, inst)
+        assert path.read_text() == per_line_text(inst)

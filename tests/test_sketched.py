@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import gaussian, reference_scores
 from johnellip import (
@@ -114,6 +115,27 @@ class TestSolve:
         w2 = _sketch_step(diamond, w1, config.resolve_sketch_rows(), np.random.default_rng(6))
         averaged = (w1 + w2) / 2.0
         assert np.array_equal(v, averaged * (2.0 / averaged.sum()))
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_frozen_weights(self, storage):
+        # Recorded when each sweep still drew a fresh standard_normal((s, m));
+        # drawing into one reused buffer must spend the stream the same way.
+        matrix = gaussian(30, 3, seed=2).matrix
+        expected = [
+            "0x1.c8d5970565726p-6", "0x1.bd33393ef7edap-2",
+            "0x1.fd661c0c62616p-6", "0x1.6689ad71976e0p-5",
+        ]
+        if storage == "csr":
+            matrix = np.where(np.abs(matrix) < 0.5, 0.0, matrix)
+            matrix[~np.any(matrix != 0.0, axis=1), 0] = 1.0
+            matrix = sp.csr_array(matrix)
+            expected = [
+                "0x1.bc3e5eee6e456p-6", "0x1.bfcdd3d517563p-2",
+                "0x1.f901ffd8d712bp-6", "0x1.488050d66130dp-5",
+            ]
+        config = SketchConfig(epsilon=0.5, delta=0.1, seed=5, iterations=4)
+        v, _ = sketched_solve(build_instance(matrix), config)
+        assert [float(x).hex() for x in v[:4]] == expected
 
     def test_trace_records_exact_scores(self, diamond):
         config = SketchConfig(
