@@ -17,10 +17,12 @@ float64 and instances are immutable after construction.  ``Q(w)`` is linear
 in w, so a CSR instance whose rows are sparse also carries, built on first
 use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
 Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
-matrix ``U``, two sparse mat-vecs per sweep.  Every dense BLAS and LAPACK
-call of the solvers and the verification layer goes through numpy; scipy's
-LAPACK is used once per instance, for the rank check in
-:func:`build_instance`.
+matrix ``U``, two sparse mat-vecs per sweep.  Dense ``A`` is streamed: the
+Gram and the scores each pass over it in row blocks of about 1 MiB, written
+into one scratch block per call, so a sweep allocates no ``m x n`` array.
+Every dense BLAS and LAPACK call of the solvers and the verification layer
+goes through numpy; scipy's LAPACK is used once per instance, for the rank
+check in :func:`build_instance`.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ RANK_PIVOT_RTOL = 1e-10
 # A Cholesky pivot of Q scaled to unit diagonal (L_kk^2 / Q_kk) at or below
 # GRAM_PIVOT_FLOOR means the weighted Gram matrix has effectively lost rank.
 GRAM_PIVOT_FLOOR = 1e-14
-# Row-block size of the products A[block] @ L^{-T} behind the scores; bounds
-# their scratch memory at _SCORE_BLOCK_ROWS x n for dense and CSR A alike.
-_SCORE_BLOCK_ROWS = 8192
+# Elements of the one scratch row block that the dense Gram and the scores
+# stream A through: max(1, _BLOCK_ELEMENTS // n) rows, about 1 MiB.  A sweep
+# timed the same from 2^15 to 2^17 at 50000x50 and slightly slower at 2^18;
+# at 20000x200, 2^15 was 27% slower than 2^17.
+_BLOCK_ELEMENTS = 2**17
 # The row-pair operator P is built only when it holds at most this many
 # entries per nonzero of A (rows of about 7 nonzeros on average), so it is
 # kept at up to 4x the size of A's CSR arrays and its build peaks near twice
@@ -160,6 +164,10 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
     ------
     DimensionError
         Not 2-D, empty, m < n, or shape mismatch with ``m``/``n``.
+    DomainError
+        Some entry is not finite, or some nonzero column's squared norm
+        overflows or falls below the normal float64 range, so that no Gram
+        matrix of ``A`` can be formed.
     ZeroRowError
         Some row is identically zero.
     RankDeficientError
@@ -209,10 +217,10 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
 
 
 def _check_full_column_rank(a) -> None:
-    if sp.issparse(a):
-        g = (a.T @ a).toarray()
-    else:
-        g = a.T @ a
+    with np.errstate(over="ignore"):  # an overflow is named below, not warned
+        g = (a.T @ a).toarray() if sp.issparse(a) else a.T @ a
+    if not (np.all(np.isfinite(g)) and np.diag(g).min() >= np.finfo(float).tiny):
+        _reject_unrepresentable_columns(a, g)
     g = 0.5 * (g + g.T)
     scale = np.sqrt(np.diag(g))
     scale[scale == 0.0] = 1.0  # an all-zero column stays zero and fails below
@@ -225,6 +233,31 @@ def _check_full_column_rank(a) -> None:
         raise RankDeficientError(
             f"constraint matrix has column rank {int(rank)} < {g.shape[0]}"
         )
+
+
+def _reject_unrepresentable_columns(a, g: np.ndarray) -> None:
+    """Raise :class:`DomainError` for the first nonzero column of ``A`` whose
+    squared norm overflows or falls below the normal float64 range.
+
+    No weighted Gram of such a column can be formed, so neither the rank
+    check nor the solvers could tell its rank; an all-zero column is left to
+    the rank check.
+    """
+    if sp.issparse(a):
+        nonzero = np.bincount(a.indices, minlength=a.shape[1]) > 0
+    else:
+        nonzero = np.any(a != 0.0, axis=0)
+    overflow = ~np.all(np.isfinite(g), axis=0)
+    tiny = np.finfo(float).tiny
+    bad = np.flatnonzero(nonzero & (overflow | (np.diag(g) < tiny)))
+    if bad.size == 0:
+        return
+    j = int(bad[0])
+    if overflow[j]:
+        detail = "a squared norm that overflows float64"
+    else:
+        detail = f"squared norm {g[j, j]:.3e}, below the normal float64 range ({tiny:.3e})"
+    raise DomainError(f"constraint matrix column {j} has {detail}; rescale the column")
 
 
 def validate_weights(w, m: int) -> np.ndarray:
@@ -284,13 +317,25 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
     return pairs
 
 
+def _block_rows(inst: PolytopeInstance) -> int:
+    """Rows per block of the streamed loops over A: ``_BLOCK_ELEMENTS // n``.
+
+    The scratch block is allocated per call, never cached, so instances stay
+    safe to share across threads.
+    """
+    return min(inst.m, max(1, _BLOCK_ELEMENTS // inst.n))
+
+
 def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     """Factor ``Q(w) = A^T diag(w) A`` for nonnegative weights ``w``.
 
     CSR with sparse rows forms the upper triangle as ``P^T w`` from the
-    instance's row-pair operator (O(sum_i nnz_i^2)) and mirrors it; other
-    input is assembled as ``B^T B`` with ``B = sqrt(W) A`` (O(m n^2) dense,
-    O(nnz n) sparse) and symmetrized.  Either way ``Q`` is exactly symmetric.
+    instance's row-pair operator (O(sum_i nnz_i^2)) and mirrors it.  Dense
+    input streams ``A`` through one scratch block of ``_BLOCK_ELEMENTS``
+    entries: each row block of ``B = sqrt(W) A`` is written there and its
+    ``B_blk^T B_blk`` (a syrk) added to ``Q``, so no ``m x n`` copy of ``A``
+    is made (O(m n^2)).  Other CSR input is assembled as a sparse ``B^T B``
+    (O(nnz n)).  ``Q`` is symmetrized, so it is exactly symmetric.
 
     Raises :class:`NotPositiveDefiniteError` when the factorization fails or
     a pivot of ``Q`` scaled to unit diagonal, ``L_kk^2 / Q_kk``, falls at or
@@ -307,8 +352,15 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
             b = inst.matrix.multiply(root[:, None]).tocsr()
             q = (b.T @ b).toarray()
         else:
-            b = inst.matrix * root[:, None]
-            q = b.T @ b
+            rows = _block_rows(inst)
+            scratch = np.empty((rows, inst.n))
+            q = np.zeros((inst.n, inst.n))
+            for start in range(0, inst.m, rows):
+                block = inst.matrix[start : start + rows]
+                b = np.multiply(
+                    block, root[start : start + rows, None], out=scratch[: block.shape[0]]
+                )
+                q += b.T @ b  # a syrk: numpy spots the transposed pair
         q = 0.5 * (q + q.T)
 
     try:
@@ -335,9 +387,10 @@ def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
     order of the error the Gram's own rounding puts into the scores; a
     quadratic form can still dip below zero where a squared norm cannot, so
     the result is clipped at zero.  Other input multiplies each block of
-    ``_SCORE_BLOCK_ROWS`` rows of A by ``L^{-T}`` (``quad.inv_l``) and takes
-    squared row norms: O(m n^2) dense, O(nnz n) sparse, with one block of
-    scratch memory and no copy of A.
+    ``max(1, _BLOCK_ELEMENTS // n)`` rows of A by ``L^{-T}``
+    (``quad.inv_l``) and takes squared row norms: O(m n^2) dense, O(nnz n)
+    sparse, with no copy of A.  Dense blocks are written into one reused
+    scratch block, the same size as the Gram's.
     """
     pairs = inst._pairs
     if pairs is not None:
@@ -346,11 +399,16 @@ def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
         sigma = pairs @ upper.ravel()
         return np.maximum(sigma, 0.0, out=sigma)
     inv_t = np.ascontiguousarray(quad.inv_l.T)
+    rows = _block_rows(inst)
+    scratch = None if inst.is_sparse else np.empty((rows, inst.n))
     sigma = np.empty(inst.m)
-    for start in range(0, inst.m, _SCORE_BLOCK_ROWS):
-        stop = min(start + _SCORE_BLOCK_ROWS, inst.m)
-        x = inst.matrix[start:stop] @ inv_t
-        sigma[start:stop] = np.einsum("ij,ij->i", x, x)
+    for start in range(0, inst.m, rows):
+        block = inst.matrix[start : start + rows]
+        if inst.is_sparse:
+            x = block @ inv_t
+        else:
+            x = np.matmul(block, inv_t, out=scratch[: block.shape[0]])
+        np.einsum("ij,ij->i", x, x, out=sigma[start : start + rows])
     return sigma
 
 

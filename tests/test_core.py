@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,32 @@ class TestBuildInstance:
         w = np.full(3000, 30 / 3000)
         expected = qr_reference_scores(matrix, w)
         assert np.allclose(leverage_scores(inst, w), expected, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        "matrix, column, detail",
+        [
+            ([[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]], 0, "overflows"),
+            ([[1.0, 0.0], [0.0, 1e160], [1.0, 1.0]], 1, "overflows"),
+            ([[1e-170, 0.0], [0.0, 1.0], [1e-170, 1.0]], 0, "below the normal"),
+            ([[1e160, 2e160], [2e160, 4e160], [3e160, 6e160]], 0, "overflows"),
+        ],
+        ids=["overflow", "overflow-second", "underflow", "huge-rank-one"],
+    )
+    def test_column_out_of_gram_range_named(self, storage, matrix, column, detail):
+        # All but the last have full rank, yet no A^T A of them fits float64:
+        # the error names the column instead of a rank its Gram cannot show.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"column {column} has .*{detail}"):
+                _instance(np.array(matrix), storage)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_zero_column_stays_rank_deficient(self, storage):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficientError):
+                _instance(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), storage)
 
     def test_zero_row_reports_first_offender(self):
         with pytest.raises(ZeroRowError) as excinfo:
@@ -204,6 +231,38 @@ class TestWeightedGram:
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
 
+    def test_dense_gram_sums_row_blocks(self):
+        # Two full blocks of the streamed dense kernel plus a ragged tail.
+        n = 50
+        rows = core._BLOCK_ELEMENTS // n
+        m = 2 * rows + rows // 3
+        rng = np.random.default_rng(12)
+        matrix = rng.standard_normal((m, n))
+        w = rng.uniform(0.1, 2.0, m)
+        inst = build_instance(matrix)
+        quad = cholesky_of_weighted_gram(inst, w)
+        assert np.array_equal(quad.Q, quad.Q.T)
+        b = np.sqrt(w)[:, None] * matrix
+        reference = b.T @ b
+        assert np.abs(quad.Q - reference).max() <= 1e-13 * np.abs(reference).max()
+        sigma = leverage_scores(inst, w)
+        assert np.allclose(sigma, qr_reference_scores(matrix, w), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kernel", [cholesky_of_weighted_gram, leverage_scores])
+    def test_dense_scratch_does_not_grow_with_m(self, kernel):
+        # A is 8 MB; a sqrt(W) A copy or an 8192-row block would exceed the
+        # bound, one 1 MiB scratch block does not.
+        inst = gaussian(20000, 50, seed=3)
+        w = np.full(20000, 50 / 20000)
+        kernel(inst, w)
+        tracemalloc.start()
+        try:
+            kernel(inst, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_factor_buffers_locked(self, diamond):
         quad = cholesky_of_weighted_gram(diamond, [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -251,7 +310,8 @@ class TestLeverageScores:
             total = float(np.dot(w, leverage_scores(inst, w)))
             assert abs(total - n) <= 1e-8 * n
 
-    # 16421 rows span two full CSR row blocks of 8192 plus a ragged tail.
+    # 16421 rows: the CSR side takes the pair operator, the dense side fits one
+    # score block of 2^17 // 6 rows.
     @pytest.mark.parametrize("m, n", [(50, 4), (16421, 6)], ids=["50x4", "16421x6"])
     def test_sparse_and_dense_agree(self, m, n):
         rng = np.random.default_rng(3)
@@ -271,7 +331,8 @@ class TestLeverageScores:
         assert np.allclose(qs.Q, qd.Q, rtol=1e-13, atol=1e-15)
 
     def test_dense_blocks_match_qr_reference(self):
-        # 16421 rows: two full score blocks of 8192 plus a ragged tail.
+        # 16421 rows at n = 6 fit one score block; test_dense_gram_sums_row_blocks
+        # spans several.
         rng = np.random.default_rng(8)
         matrix = rng.standard_normal((16421, 6))
         w = rng.uniform(0.1, 2.0, 16421)
@@ -312,8 +373,8 @@ class TestPairOperator:
         assert np.allclose(sigma, qr_reference_scores(matrix, w), rtol=1e-12, atol=0.0)
 
     def test_dense_rows_fall_back_to_row_blocks(self):
-        # 16421 rows: two full score blocks of 8192 plus a ragged tail, and
-        # 5.5 pairs per nonzero, above the cut.
+        # 16421 rows: one full score block of 2^17 // 10 rows plus a ragged
+        # tail, and 5.5 pairs per nonzero, above the cut.
         matrix = np.random.default_rng(5).standard_normal((16421, 10))
         inst = build_instance(sp.csr_array(matrix))
         assert inst._pairs is None
@@ -434,7 +495,7 @@ def test_columns_scaled_by_ten_to_the_k(storage, k):
 class TestScoreInvariance:
     """Scores are a property of the polytope's rows, not of their coordinates."""
 
-    # 9000 rows span a score-block boundary; a permutation moves rows across it.
+    # 9000 rows at n = 8 fit one score block of 2^17 // 8 rows.
     M, N = 9000, 8
 
     @pytest.fixture

@@ -17,6 +17,7 @@ from johnellip import (
     generate,
     leverage_scores,
 )
+from johnellip import core
 
 
 def reference_average(matrix, total):
@@ -109,6 +110,19 @@ def test_matches_independent_recurrence_on_random_instance():
     w, _ = fixed_point_solve(inst, FixedPointConfig(epsilon=0.3))
     expected = reference_average(inst.toarray(), default_iterations(30, 4, 0.3))
     assert np.allclose(w, expected, rtol=1e-11, atol=1e-14)
+
+
+def test_matches_independent_recurrence_across_row_blocks():
+    # Three full blocks of the streamed dense kernel plus a ragged tail.
+    n = 20
+    m = 3 * (core._BLOCK_ELEMENTS // n) + 77
+    inst = gaussian(m, n, seed=4)
+    config = FixedPointConfig(epsilon=0.3, iterations=12)
+    w, _ = fixed_point_solve(inst, config)
+    expected = reference_average(inst.toarray(), 12)
+    assert np.allclose(w, expected, rtol=1e-11, atol=0.0)
+    again, _ = fixed_point_solve(inst, config)
+    assert np.array_equal(w, again)
 
 
 def test_iterates_conserve_mass_and_stay_bounded():
