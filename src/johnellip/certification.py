@@ -203,10 +203,18 @@ def _containment(
     u /= np.linalg.norm(u, axis=0)
 
     au_inf = np.zeros(samples)
-    rows = max(1, _CONTAINMENT_BLOCK_ELEMENTS // samples)
+    rows = min(inst.m, max(1, _CONTAINMENT_BLOCK_ELEMENTS // samples))
+    # One product block is live at a time: dense blocks are written into one
+    # scratch array, and each CSR product is released before the next.
+    scratch = None if inst.is_sparse else np.empty((rows, samples))
     for start in range(0, inst.m, rows):
-        block = inst.matrix[start:start + rows] @ u
+        a_blk = inst.matrix[start:start + rows]
+        if inst.is_sparse:
+            block = a_blk @ u
+        else:
+            block = np.matmul(a_blk, u, out=scratch[: a_blk.shape[0]])
         np.maximum(au_inf, np.abs(block, out=block).max(axis=0), out=au_inf)
+        del block
 
     # x = u / scale with scale = sqrt(1+eps_hat) * ||L^T u||, so
     # x^T Q x = 1/(1+eps_hat) and ||A x||_inf = ||A u||_inf / scale.
@@ -248,8 +256,9 @@ class OracleSolution:
 
 
 def _exact_state(inst: PolytopeInstance, w: np.ndarray):
+    # A writable copy of Q^{-1}, which the oracle updates in place.
     quad, sigma = _graded(inst, w)
-    return quad.inverse, sigma, quad.logdet
+    return quad.inverse.copy(), sigma, quad.logdet
 
 
 def _step_gain(n: int, tau: float, d: float) -> float:
@@ -323,9 +332,9 @@ def oracle_solve(
         gain_add = _step_gain(n, tau_add, d_add)
         j, tau = jmax, tau_add
 
-        support = np.flatnonzero(w > 0.0)
-        if support.size > 1:
-            jmin = int(support[np.argmin(sigma[support])])
+        supported = w > 0.0
+        if np.count_nonzero(supported) > 1:
+            jmin = int(np.argmin(np.where(supported, sigma, np.inf)))
             d_away = n * float(sigma[jmin])
             if d_away < n and n > w[jmin]:
                 bound = -w[jmin] / (n - w[jmin])
@@ -358,11 +367,18 @@ def oracle_solve(
             fresh = True
             continue
         factor = beta / den
-        inv = (inv - factor * np.outer(c, c)) / (1.0 - tau)
-        inv = 0.5 * (inv + inv.T)
-        sigma = (sigma - factor * p * p) / (1.0 - tau)
+        # In place, in the order of (inv - factor c c^T) / (1 - tau) and
+        # (sigma - (factor p) p) / (1 - tau); inv stays exactly symmetric.
+        update = np.outer(c, c)
+        update *= factor
+        inv -= update
+        inv /= 1.0 - tau
+        drop = factor * p
+        drop *= p
+        sigma -= drop
+        sigma /= 1.0 - tau
         logdet += n * math.log1p(-tau) + math.log(den)
-        w = (1.0 - tau) * w
+        w *= 1.0 - tau
         w[j] += tau * n
         if tau < 0.0 and w[j] < 1e-15:
             w[j] = 0.0

@@ -22,7 +22,7 @@ Gram and the scores each pass over it in row blocks of about 1 MiB, written
 into one scratch block per call, so a sweep allocates no ``m x n`` array.
 Every dense BLAS and LAPACK call of the solvers and the verification layer
 goes through numpy; scipy's LAPACK is used once per instance, for the rank
-check in :func:`build_instance`.
+check when an instance is built (:func:`build_instance`, :func:`_adopt`).
 """
 
 from __future__ import annotations
@@ -159,6 +159,8 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
 
     ``entries`` may be anything `numpy.asarray` accepts or a scipy sparse
     matrix (stored as CSR).  Optional ``m``/``n`` assert the expected shape.
+    The caller keeps ``entries``: they are copied once, and the instance
+    holds the copy (see :func:`_adopt` for the checks and the lock).
 
     Raises
     ------
@@ -176,11 +178,33 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
         The scaling makes the verdict independent of column scale.
     """
     if sp.issparse(entries):
-        a = sp.csr_array(entries, dtype=np.float64, copy=True)
+        return _adopt(sp.csr_array(entries, dtype=np.float64, copy=True), m, n)
+    return _adopt(np.array(entries, dtype=np.float64, order="C", copy=True), m, n)
+
+
+def _adopt(a, m: int | None = None, n: int | None = None) -> PolytopeInstance:
+    """Validate ``a`` and make it the matrix of a new instance, without a copy.
+
+    For arrays the caller has just made and hands over: :func:`build_instance`
+    passes its copy of the user's input, and ``generators.generate`` and
+    ``mmio.read_matrix_market`` pass the matrix they drew or parsed, so set-up
+    holds one copy of ``A``.  A float64 C-ordered ndarray or a float64 CSR
+    array is used as it is (a CSR array is canonicalized in place); anything
+    else is converted first.  The buffers are then locked read-only, so the
+    caller must not write to them afterwards.
+
+    The rank check's Gram ``A^T A`` is formed first and stands in for a scan
+    of ``A`` for non-finite entries: each diagonal entry is a sum of squares
+    of one column, so a finite Gram means every entry is finite, and ``A`` is
+    scanned only when the Gram is not.  Errors and their order are those
+    documented on :func:`build_instance`.
+    """
+    if sp.issparse(a):
+        a = sp.csr_array(a, dtype=np.float64)
         a.sum_duplicates()
         a.eliminate_zeros()
     else:
-        a = np.array(entries, dtype=np.float64, order="C", copy=True)
+        a = np.asarray(a, dtype=np.float64, order="C")
         if a.ndim != 2:
             raise DimensionError(f"constraint matrix must be 2-D, got ndim={a.ndim}")
 
@@ -194,19 +218,23 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
     if rows < cols:
         raise DimensionError(f"need m >= n, got m={rows}, n={cols}")
 
+    # Overflow and inf * 0 are named below, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (a.T @ a).toarray() if sp.issparse(a) else a.T @ a
+    finite = bool(np.all(np.isfinite(gram)))
+    if not finite and not np.all(np.isfinite(a.data if sp.issparse(a) else a)):
+        raise DomainError("constraint matrix has non-finite entries")
+
     if sp.issparse(a):
-        if not np.all(np.isfinite(a.data)):
-            raise DomainError("constraint matrix has non-finite entries")
-        row_nnz = np.diff(a.indptr)
-        zero = np.flatnonzero(row_nnz == 0)
+        zero = np.flatnonzero(np.diff(a.indptr) == 0)
     else:
-        if not np.all(np.isfinite(a)):
-            raise DomainError("constraint matrix has non-finite entries")
         zero = np.flatnonzero(~np.any(a != 0.0, axis=1))
     if zero.size:
         raise ZeroRowError(int(zero[0]))
 
-    _check_full_column_rank(a)
+    if not (finite and np.diag(gram).min() >= np.finfo(float).tiny):
+        _reject_unrepresentable_columns(a, gram)
+    _check_full_column_rank(gram)
 
     if sp.issparse(a):
         for buf in (a.data, a.indices, a.indptr):
@@ -216,11 +244,8 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
     return PolytopeInstance(a)
 
 
-def _check_full_column_rank(a) -> None:
-    with np.errstate(over="ignore"):  # an overflow is named below, not warned
-        g = (a.T @ a).toarray() if sp.issparse(a) else a.T @ a
-    if not (np.all(np.isfinite(g)) and np.diag(g).min() >= np.finfo(float).tiny):
-        _reject_unrepresentable_columns(a, g)
+def _check_full_column_rank(g: np.ndarray) -> None:
+    # g is A^T A, finite and with every nonzero column's diagonal normal.
     g = 0.5 * (g + g.T)
     scale = np.sqrt(np.diag(g))
     scale[scale == 0.0] = 1.0  # an all-zero column stays zero and fails below

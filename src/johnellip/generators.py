@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import PolytopeInstance, build_instance
+from .core import PolytopeInstance, _adopt
 from .errors import DomainError, GenerationFailedError, RankDeficientError, ZeroRowError
 
 __all__ = ["GeneratorSpec", "FAMILIES", "generate", "parse_generator_spec"]
@@ -71,29 +71,32 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> PolytopeInstance:
-    """Materialize the instance a spec describes."""
+    """Materialize the instance a spec describes.
+
+    Each drawn matrix becomes the instance as it is, without a copy.
+    """
     if spec.family == "identity-cube":
-        return build_instance(np.eye(spec.n))
+        return _adopt(np.eye(spec.n))
     if spec.family == "scaled-cube":
-        return build_instance(spec.scale * np.eye(spec.n))
+        return _adopt(spec.scale * np.eye(spec.n))
 
     rng = np.random.default_rng(spec.seed)
     if spec.family == "rotated-diamond":
         theta = rng.uniform(0.0, 2.0 * np.pi)
         c, s = np.cos(theta), np.sin(theta)
         rotation = np.array([[c, -s], [s, c]])
-        return build_instance(_DIAMOND_ROWS @ rotation.T)
+        return _adopt(_DIAMOND_ROWS @ rotation.T)
 
     for _ in range(_MAX_ATTEMPTS):
         try:
             if spec.family == "gaussian-dense":
-                return build_instance(rng.standard_normal((spec.m, spec.n)))
+                return _adopt(rng.standard_normal((spec.m, spec.n)))
             mask = rng.random((spec.m, spec.n)) < spec.density
             values = np.where(mask, rng.standard_normal((spec.m, spec.n)), 0.0)
             kept = values[mask.any(axis=1)]
             if kept.shape[0] < spec.n:
                 continue
-            return build_instance(sp.csr_array(kept))
+            return _adopt(sp.csr_array(kept))
         except (RankDeficientError, ZeroRowError):
             continue
     raise GenerationFailedError(

@@ -16,6 +16,7 @@ from conftest import DIAMOND_OPTIMUM, gaussian, reference_logdet, reference_scor
 from johnellip import (
     DomainError,
     FixedPointConfig,
+    GeneratorSpec,
     NoConvergenceError,
     NotPositiveDefiniteError,
     SketchConfig,
@@ -24,6 +25,7 @@ from johnellip import (
     containment_check,
     duality_gap,
     fixed_point_solve,
+    generate,
     oracle_solve,
     sketched_solve,
     volume_ratio,
@@ -183,6 +185,27 @@ class TestContainment:
         assert result.inner_pass and result.outer_pass
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_certify_keeps_one_containment_block(self, storage):
+        # 1000 samples give blocks of 524 rows x 1000 = 4 MiB; a second live
+        # block would take the peak past 8 MiB.  The CSR instance's rows are
+        # sparse, so its row-pair operator is built before the measurement.
+        if storage == "dense":
+            inst = gaussian(20000, 20, seed=4)
+        else:
+            inst = generate(GeneratorSpec("sparse-bernoulli", 20000, 20, density=0.1, seed=4))
+        w = np.full(inst.m, 20 / inst.m)
+        assert (inst._pairs is not None) == (storage == "csr")
+        tracemalloc.start()
+        try:
+            report = certify(inst, w, 0.5, containment_samples=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.containment_samples == 1000
+        assert report.containment_inner_pass and report.containment_outer_pass
+        assert peak < 6 * 2**20
+
 
 def reference_containment_counts(dense, w, samples, seed):
     """Inner/outer violation counts from the documented draw, unblocked.
@@ -272,6 +295,30 @@ class TestOracle:
         assert len(sol.history) == sol.iterations + 1
         assert np.diff(sol.history).min() >= -1e-12
         assert sol.history[-1] == pytest.approx(sol.logdet, abs=1e-9)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_frozen_run(self, storage):
+        # Recorded when each rank-one step still built new arrays and
+        # re-symmetrized the inverse; the in-place step must keep every bit.
+        # Both runs pass several refreshes (every 256 steps).
+        if storage == "dense":
+            inst = gaussian(300, 8, seed=3)
+            sol = oracle_solve(inst)
+            steps, logdet = 1109, "0x1.624ac127653ecp+4"
+            expected = {13: "0x1.382120eda3a52p-4", 14: "0x1.a57e5a9059ba5p-4",
+                        42: "0x1.52cb287db4fdfp-2"}
+        else:
+            inst = generate(GeneratorSpec("sparse-bernoulli", 400, 6, density=0.4, seed=1))
+            assert inst._pairs is not None
+            sol = oracle_solve(inst, record_history=True)
+            steps, logdet = 589, "0x1.cc60e60a34df6p+3"
+            expected = {53: "0x1.7967b6b83354dp-1", 86: "0x1.72ac506b93714p-3",
+                        99: "0x1.d12fc2b088866p-2"}
+            assert len(sol.history) == steps + 1
+            assert sol.history[-1].hex() == "0x1.cc60e60a34df4p+3"
+        assert sol.iterations == steps
+        assert sol.logdet.hex() == logdet
+        assert {j: float(sol.weights[j]).hex() for j in expected} == expected
 
     def test_no_convergence_reports_progress(self):
         inst = gaussian(200, 10, seed=0)

@@ -93,6 +93,24 @@ class TestBuildInstance:
             with pytest.raises(RankDeficientError):
                 _instance(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), storage)
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[np.nan, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            [[1e160, 0.0], [np.inf, 1.0], [1.0, 1.0]],
+        ],
+        ids=["nan-and-zero-row", "inf-beside-huge"],
+    )
+    def test_non_finite_entries_named_first(self, storage, matrix):
+        # Finiteness is read off the rank check's Gram, which is formed
+        # first; a non-finite entry must still win over a zero row and over
+        # a column whose squared norm overflows, with no warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite entries"):
+                _instance(np.array(matrix), storage)
+
     def test_zero_row_reports_first_offender(self):
         with pytest.raises(ZeroRowError) as excinfo:
             build_instance([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -432,6 +450,40 @@ class TestPairOperator:
             assert peak < 7 * a_bytes  # 6.1x measured; 40 B per pair would be 10.5x
         else:
             assert peak < 3 * a_bytes  # one copy of A as B = sqrt(W) A, one block
+
+    @pytest.mark.parametrize("k, built", [(2, True), (8, False)], ids=["2-per-row", "8-per-row"])
+    def test_hundred_thousand_rows(self, k, built):
+        # m = 1e5: rows of 2 nonzeros (1.5 pairs per nonzero) take P and stay
+        # within the first-sweep bounds above (2.7x measured); rows of 8 take
+        # 31 row blocks of 2^17 // 40 rows (2.0x).  Scores are checked on a
+        # row sample against a QR of sqrt(W) A taken block by block, so no
+        # m x n array is formed.
+        m, n = 100_000, 40
+        rng = np.random.default_rng(17)
+        cols = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :k], axis=1)
+        matrix = sp.csr_array(
+            (rng.standard_normal(m * k), cols.ravel(), np.arange(0, m * k + 1, k)), shape=(m, n)
+        )
+        inst = build_instance(matrix)
+        a = inst.matrix
+        a_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+        w = rng.uniform(0.1, 2.0, m)
+        tracemalloc.start()
+        try:
+            sigma = leverage_scores(inst, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (inst._pairs is not None) == built
+        assert peak < (7 if built else 3) * a_bytes
+        r = np.zeros((0, n))
+        for start in range(0, m, 10_000):
+            block = a[start : start + 10_000].toarray() * np.sqrt(w[start : start + 10_000, None])
+            r = np.linalg.qr(np.vstack([r, block]), mode="r")
+        sample = np.sort(rng.choice(m, 500, replace=False))
+        x = np.linalg.solve(r.T, a[sample].toarray().T)
+        expected = np.einsum("ij,ij->j", x, x)
+        assert np.allclose(sigma[sample], expected, rtol=1e-12, atol=0.0)
 
     def test_gram_is_exactly_symmetric(self):
         inst = build_instance(sp.csr_array(_sparse_rows(400, 9, 0.7, seed=2)))

@@ -1,5 +1,7 @@
 """Instance generators and the CLI spec grammar."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,28 @@ class TestRandomFamilies:
         expected = 10_000 * 20 * 0.01
         spread = 3.0 * np.sqrt(expected * (1.0 - 0.01))
         assert abs(inst.matrix.nnz - expected) <= spread
+
+    def test_drawn_matrix_becomes_the_instance(self):
+        # The draw is validated and locked in place: one m x n array, plus
+        # the zero-row check's boolean mask (1/8 of it).  Copying the draw
+        # would peak above 2x.
+        tracemalloc.start()
+        try:
+            inst = generate(GeneratorSpec("gaussian-dense", m=20000, n=50, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * inst.matrix.nbytes
+        assert inst.matrix.flags.c_contiguous and not inst.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "text", ["identity-cube:3", "rotated-diamond", "sparse-bernoulli:200x5:density=0.3"]
+    )
+    def test_buffers_locked(self, text):
+        inst = generate(parse_generator_spec(text))
+        a = inst.matrix
+        buffers = (a.data, a.indices, a.indptr) if inst.is_sparse else (a,)
+        assert not any(buf.flags.writeable for buf in buffers)
 
     def test_sparse_bernoulli_deterministic(self):
         spec = GeneratorSpec("sparse-bernoulli", m=500, n=8, density=0.05, seed=4)

@@ -82,6 +82,28 @@ class TestRead:
         inst = read_matrix_market(write(tmp_path, text))
         assert np.array_equal(inst.toarray(), np.eye(2))
 
+    def test_parsed_matrix_is_canonical_and_locked(self, tmp_path):
+        # The parsed matrix becomes the instance in place: duplicates summed,
+        # explicit zeros dropped, column indices sorted, buffers read-only.
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 2 6\n"
+            "3 2 1.0\n"
+            "1 2 0.0\n"
+            "1 1 2.0\n"
+            "2 2 -1.0\n"
+            "3 1 1.0\n"
+            "1 1 0.5\n"
+        )
+        sparse = read_matrix_market(write(tmp_path, text)).matrix
+        assert np.array_equal(sparse.indptr, [0, 1, 2, 4])
+        assert np.array_equal(sparse.indices, [0, 1, 0, 1])
+        assert np.array_equal(sparse.data, [2.5, -1.0, 1.0, 1.0])
+        dense = read_matrix_market(write(tmp_path, ARRAY_IDENTITY, "dense.mtx")).matrix
+        assert dense.flags.c_contiguous
+        for buf in (sparse.data, sparse.indices, sparse.indptr, dense):
+            assert not buf.flags.writeable
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_matrix_market(tmp_path / "nope.mtx")
