@@ -17,6 +17,8 @@ import numpy as np
 from .core import (
     EllipsoidQuadratic,
     PolytopeInstance,
+    _block_rows,
+    _row_block,
     _scores,
     cholesky_of_weighted_gram,
     validate_weights,
@@ -43,9 +45,6 @@ WEIGHT_SUM_RTOL = 1e-6
 CONTAINMENT_SLACK = 1e-9
 
 _REFRESH_EVERY = 256
-# Elements of one A_blk @ u block in containment_check; its rows follow from
-# the sample count, so scratch memory stays near 4 MiB at any m.
-_CONTAINMENT_BLOCK_ELEMENTS = 1 << 19
 
 
 def _graded(inst: PolytopeInstance, w) -> tuple[EllipsoidQuadratic, np.ndarray]:
@@ -107,10 +106,7 @@ def certify(
         raise DomainError(
             f"target_epsilon must be finite and positive, got {target_epsilon!r}"
         )
-    if containment_samples < 0:
-        raise DomainError(
-            f"containment_samples must be >= 0, got {containment_samples!r}"
-        )
+    check_count("containment_samples", containment_samples, minimum=0)
     w = validate_weights(w, inst.m)
     n = inst.n
 
@@ -179,9 +175,10 @@ def containment_check(
     to sample j.
 
     Both tests need only the column maxima of ``|A u|``, since each x is a
-    positive multiple of its u, so A is read once, in row blocks of about
-    ``_CONTAINMENT_BLOCK_ELEMENTS`` products; scratch memory is one block
-    plus O(n * samples), never m x samples.
+    positive multiple of its u, so A is read once, in row blocks of
+    ``max(1, core._BLOCK_ELEMENTS // samples)`` rows, whose products fill
+    one block of about 1 MiB; scratch memory is that block plus
+    O(n * samples), never m x samples.
     """
     check_count("samples", samples)
     quad, sigma = _graded(inst, w)
@@ -203,12 +200,12 @@ def _containment(
     u /= np.linalg.norm(u, axis=0)
 
     au_inf = np.zeros(samples)
-    rows = min(inst.m, max(1, _CONTAINMENT_BLOCK_ELEMENTS // samples))
+    rows = _block_rows(inst.m, samples)
     # One product block is live at a time: dense blocks are written into one
     # scratch array, and each CSR product is released before the next.
     scratch = None if inst.is_sparse else np.empty((rows, samples))
     for start in range(0, inst.m, rows):
-        a_blk = inst.matrix[start:start + rows]
+        a_blk = _row_block(inst.matrix, start, start + rows)
         if inst.is_sparse:
             block = a_blk @ u
         else:

@@ -17,9 +17,11 @@ float64 and instances are immutable after construction.  ``Q(w)`` is linear
 in w, so a CSR instance whose rows are sparse also carries, built on first
 use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
 Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
-matrix ``U``, two sparse mat-vecs per sweep.  Dense ``A`` is streamed: the
-Gram and the scores each pass over it in row blocks of about 1 MiB, written
-into one scratch block per call, so a sweep allocates no ``m x n`` array.
+matrix ``U``, two sparse mat-vecs per sweep.  Every pass over ``A`` shares
+one scratch budget, ``_BLOCK_ELEMENTS`` (about 1 MiB): the dense Gram and
+scores, the CSR score blocks, the dense zero-row check, the build of ``P``
+and containment sampling (``certification``) each take row blocks sized
+from it, so none allocates an ``m x n`` or ``m x samples`` array.
 Every dense BLAS and LAPACK call of the solvers and the verification layer
 goes through numpy; scipy's LAPACK is used once per instance, for the rank
 check when an instance is built (:func:`build_instance`, :func:`_adopt`).
@@ -59,10 +61,11 @@ RANK_PIVOT_RTOL = 1e-10
 # A Cholesky pivot of Q scaled to unit diagonal (L_kk^2 / Q_kk) at or below
 # GRAM_PIVOT_FLOOR means the weighted Gram matrix has effectively lost rank.
 GRAM_PIVOT_FLOOR = 1e-14
-# Elements of the one scratch row block that the dense Gram and the scores
-# stream A through: max(1, _BLOCK_ELEMENTS // n) rows, about 1 MiB.  A sweep
-# timed the same from 2^15 to 2^17 at 50000x50 and slightly slower at 2^18;
-# at 20000x200, 2^15 was 27% slower than 2^17.
+# The one scratch budget of every pass over A, in 8-byte elements (1 MiB):
+# a pass over rows of width k (n columns, or containment's sample count)
+# takes max(1, _BLOCK_ELEMENTS // k) rows at a time (_block_rows).  A dense
+# sweep timed the same from 2^15 to 2^17 at 50000x50 and slightly slower at
+# 2^18; at 20000x200, 2^15 was 27% slower than 2^17.
 _BLOCK_ELEMENTS = 2**17
 # The row-pair operator P is built only when it holds at most this many
 # entries per nonzero of A (rows of about 7 nonzeros on average), so it is
@@ -70,8 +73,6 @@ _BLOCK_ELEMENTS = 2**17
 # that.  P's sweep is the faster one at every row density, so memory alone
 # sets the cut.
 _PAIRS_PER_NONZERO = 4
-# Pairs generated per step while building P; bounds the build's index scratch.
-_PAIR_BUILD_CHUNK = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +197,10 @@ def _adopt(a, m: int | None = None, n: int | None = None) -> PolytopeInstance:
     The rank check's Gram ``A^T A`` is formed first and stands in for a scan
     of ``A`` for non-finite entries: each diagonal entry is a sum of squares
     of one column, so a finite Gram means every entry is finite, and ``A`` is
-    scanned only when the Gram is not.  Errors and their order are those
-    documented on :func:`build_instance`.
+    scanned only when the Gram is not.  Dense ``A`` is checked for zero rows
+    in row blocks (:func:`_block_rows`), so validation allocates no ``m x n``
+    mask.  Errors and their order are those documented on
+    :func:`build_instance`.
     """
     if sp.issparse(a):
         a = sp.csr_array(a, dtype=np.float64)
@@ -227,10 +230,14 @@ def _adopt(a, m: int | None = None, n: int | None = None) -> PolytopeInstance:
 
     if sp.issparse(a):
         zero = np.flatnonzero(np.diff(a.indptr) == 0)
+        if zero.size:
+            raise ZeroRowError(int(zero[0]))
     else:
-        zero = np.flatnonzero(~np.any(a != 0.0, axis=1))
-    if zero.size:
-        raise ZeroRowError(int(zero[0]))
+        step = _block_rows(rows, cols)
+        for start in range(0, rows, step):
+            zero = np.flatnonzero(~np.any(a[start : start + step] != 0.0, axis=1))
+            if zero.size:
+                raise ZeroRowError(start + int(zero[0]))
 
     if not (finite and np.diag(gram).min() >= np.finfo(float).tiny):
         _reject_unrepresentable_columns(a, gram)
@@ -316,11 +323,13 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
     index = np.int32 if max(total, n * n) < 2**31 else np.int64
     data = np.empty(total)
     cols = np.empty(total, dtype=index)
+    # Whole rows holding about `chunk` pairs at a time.  Each pair takes about
+    # four 8-byte words of scratch (first, second and the two value gathers),
+    # so a step stays within the scratch budget; P is the same at any chunk.
+    chunk = _BLOCK_ELEMENTS // 4
     start = 0
     while start < m:
-        # Whole rows holding about _PAIR_BUILD_CHUNK pairs at a time, so the
-        # index scratch stays small beside data and cols.
-        stop = int(np.searchsorted(indptr, indptr[start] + _PAIR_BUILD_CHUNK, "right"))
+        stop = int(np.searchsorted(indptr, indptr[start] + chunk, "right"))
         stop = max(stop - 1, start + 1)
         # Stored entry p pairs with itself and every later entry of its row
         # (build_instance leaves column indices sorted, so j <= k).
@@ -342,13 +351,31 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
     return pairs
 
 
-def _block_rows(inst: PolytopeInstance) -> int:
-    """Rows per block of the streamed loops over A: ``_BLOCK_ELEMENTS // n``.
+def _block_rows(m: int, width: int) -> int:
+    """Rows per block of a streamed pass over the m rows of A whose scratch
+    holds ``width`` elements per row: ``max(1, _BLOCK_ELEMENTS // width)``.
 
-    The scratch block is allocated per call, never cached, so instances stay
+    Scratch blocks are allocated per call, never cached, so instances stay
     safe to share across threads.
     """
-    return min(inst.m, max(1, _BLOCK_ELEMENTS // inst.n))
+    return min(m, max(1, _BLOCK_ELEMENTS // width))
+
+
+def _row_block(a, start: int, stop: int):
+    """Rows ``start:stop`` of ``A`` without copying its entries.
+
+    A CSR block shares ``A``'s data and indices and gets its own shifted
+    ``indptr``; scipy's row slicing copies all three, which at containment's
+    1000-sample blocks of 131 rows costs a tenth of the pass.
+    """
+    if not sp.issparse(a):
+        return a[start:stop]
+    stop = min(stop, a.shape[0])
+    lo, hi = a.indptr[start], a.indptr[stop]
+    return sp.csr_array(
+        (a.data[lo:hi], a.indices[lo:hi], a.indptr[start : stop + 1] - lo),
+        shape=(stop - start, a.shape[1]),
+    )
 
 
 def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
@@ -377,7 +404,7 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
             b = inst.matrix.multiply(root[:, None]).tocsr()
             q = (b.T @ b).toarray()
         else:
-            rows = _block_rows(inst)
+            rows = _block_rows(inst.m, inst.n)
             scratch = np.empty((rows, inst.n))
             q = np.zeros((inst.n, inst.n))
             for start in range(0, inst.m, rows):
@@ -424,11 +451,11 @@ def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
         sigma = pairs @ upper.ravel()
         return np.maximum(sigma, 0.0, out=sigma)
     inv_t = np.ascontiguousarray(quad.inv_l.T)
-    rows = _block_rows(inst)
+    rows = _block_rows(inst.m, inst.n)
     scratch = None if inst.is_sparse else np.empty((rows, inst.n))
     sigma = np.empty(inst.m)
     for start in range(0, inst.m, rows):
-        block = inst.matrix[start : start + rows]
+        block = _row_block(inst.matrix, start, start + rows)
         if inst.is_sparse:
             x = block @ inv_t
         else:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class JohnEllipsoidError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -61,7 +63,10 @@ def check_unit_interval(name: str, value) -> None:
         raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def check_count(name: str, value) -> None:
-    """Raise :class:`DomainError` unless the count ``value`` is at least 1."""
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value!r}")
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an integer (Python or
+    numpy) of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value!r}")

@@ -88,6 +88,17 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=-5)
 
+    @pytest.mark.parametrize("samples", [2.5, 0.0, 100.0, "100"])
+    def test_non_integral_samples_rejected(self, diamond, samples):
+        # 0.0 and 100.0 are rejected too: the report's count is an integer.
+        with pytest.raises(DomainError, match="containment_samples must be an integer"):
+            certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=samples)
+
+    def test_numpy_integer_samples_accepted(self, diamond):
+        report = certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=np.int64(100))
+        assert report.containment_samples == 100
+        assert report.containment_inner_pass and report.containment_outer_pass
+
 
 class TestDualityGap:
     def test_identity_gap_is_zero(self):
@@ -150,6 +161,14 @@ class TestContainment:
         with pytest.raises(DomainError):
             containment_check(diamond, DIAMOND_OPTIMUM, 0)
 
+    @pytest.mark.parametrize("samples", [2.5, 100.0, "100"])
+    def test_non_integral_samples_rejected(self, diamond, samples):
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            containment_check(diamond, DIAMOND_OPTIMUM, samples)
+
+    def test_numpy_integer_samples_accepted(self, diamond):
+        assert containment_check(diamond, DIAMOND_OPTIMUM, np.int32(100)).samples == 100
+
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_violation_counts_match_unblocked_reference(self, storage):
         # Unit rows in R^3 with mass-3n weights: y^T Q y can reach
@@ -187,9 +206,10 @@ class TestContainment:
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_certify_keeps_one_containment_block(self, storage):
-        # 1000 samples give blocks of 524 rows x 1000 = 4 MiB; a second live
-        # block would take the peak past 8 MiB.  The CSR instance's rows are
-        # sparse, so its row-pair operator is built before the measurement.
+        # 1000 samples give blocks of 2^17 // 1000 = 131 rows x 1000 = 1 MiB;
+        # one block peaks at 1.7 MiB (dense) and 1.3 MiB (CSR), so a second
+        # live block would take either past 2.25 MiB.  The CSR instance's rows
+        # are sparse, so its row-pair operator is built before the measurement.
         if storage == "dense":
             inst = gaussian(20000, 20, seed=4)
         else:
@@ -204,7 +224,7 @@ class TestContainment:
             tracemalloc.stop()
         assert report.containment_samples == 1000
         assert report.containment_inner_pass and report.containment_outer_pass
-        assert peak < 6 * 2**20
+        assert peak < 2.25 * 2**20
 
 
 def reference_containment_counts(dense, w, samples, seed):

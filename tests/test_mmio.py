@@ -1,6 +1,7 @@
 """Matrix Market round-trips and strict rejection of unsupported variants."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 import scipy.sparse as sp
 
 from johnellip import (
+    GeneratorSpec,
     JohnEllipsoidError,
     ParseError,
     RankDeficientError,
     ZeroRowError,
     build_instance,
+    generate,
     read_matrix_market,
     write_matrix_market,
 )
@@ -136,6 +139,34 @@ class TestRoundTrip:
         assert np.array_equal(back.matrix.indptr, inst.matrix.indptr)
         assert np.array_equal(back.matrix.indices, inst.matrix.indices)
         assert np.array_equal(back.matrix.data, inst.matrix.data)
+
+    def test_coordinate_read_is_the_generated_csr(self, tmp_path):
+        # The sparse-mtx benchmark's matrix.  The bulk parse holds 16-byte
+        # (i, j, v) records and shifts the indices in place, so the read peaks
+        # near 50 B per stored entry; int64 indices took it to 60 B.  The read
+        # gives the generator's int32 CSR arrays, byte for byte.
+        drawn = generate(GeneratorSpec("sparse-bernoulli", 50000, 40, density=0.05, seed=0))
+        path = tmp_path / "sparse.mtx"
+        write_matrix_market(path, drawn)
+        tracemalloc.start()
+        try:
+            back = read_matrix_market(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        a, b = back.matrix, drawn.matrix
+        assert a.indices.dtype == a.indptr.dtype == np.int32
+        assert a.shape == b.shape
+        for got, want in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert peak < 55 * a.nnz
+
+    def test_index_dtype_widens_only_past_int32(self):
+        # Decided from the size line alone.  A 2^31-row file is never read
+        # here: its CSR build would allocate a 16 GiB indptr.
+        assert mmio._index_dtype(2**31 - 1, 2**31 - 1) is np.int32
+        assert mmio._index_dtype(2**31, 40) is np.int64
+        assert mmio._index_dtype(40, 2**31) is np.int64
 
     def test_writer_output_is_stable(self, tmp_path):
         inst = build_instance(np.eye(2))
@@ -328,6 +359,8 @@ ENTRY_BLOCKS = {
     "blank-lines": (COORDINATE_2X2, "\n1 1 2.5\n  \n\t\n2 2 1\n\n", True),
     "two-then-four-tokens": (COORDINATE_2X2, "1 1\n2 2 1 5\n", False),
     "twenty-digit-index": (COORDINATE_2X2, "12345678901234567890 1 1\n2 2 1\n", False),
+    "index-past-int32": (COORDINATE_2X2, "3000000000 1 1\n2 2 1\n", False),
+    "index-wrapping-int32": (COORDINATE_2X2, "4294967298 1 1\n2 2 1\n", False),
     "index-out-of-range": (COORDINATE_2X2, "1 1 2.5\n2 3 1\n", False),
     "too-many-entries": (COORDINATE_2X2, "1 1 2.5\n2 2 1\n1 2 1\n", False),
     "non-ascii": (COORDINATE_2X2, "1 1 2.5\xe9\n2 2 1\n", False),
@@ -417,9 +450,9 @@ class TestBitPatterns:
         if storage == "dense":
             assert back.matrix.tobytes() == inst.matrix.tobytes()
         else:
-            # The reader's index dtype may be wider than the instance's.
-            assert np.array_equal(back.matrix.indptr, inst.matrix.indptr)
-            assert np.array_equal(back.matrix.indices, inst.matrix.indices)
+            assert back.matrix.indptr.tobytes() == inst.matrix.indptr.tobytes()
+            assert back.matrix.indices.tobytes() == inst.matrix.indices.tobytes()
+            assert back.matrix.indices.dtype == inst.matrix.indices.dtype
             assert back.matrix.data.tobytes() == inst.matrix.data.tobytes()
 
     def test_writer_matches_per_line_text(self, tmp_path, inst, storage):
