@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import json
-import statistics
 import sys
 import time
-
-import numpy as np
 
 from .certification import certify, oracle_solve
 from .cli import RunRequest
 from .core import PolytopeInstance, validate_weights
-from .errors import DomainError, JohnEllipsoidError, check_count, check_unit_interval
-from .fixed_point import FixedPointConfig, default_iterations, fixed_point_solve
+from .errors import DomainError, JohnEllipsoidError, check_unit_interval
+from .fixed_point import FixedPointConfig, fixed_point_solve
 from .generators import generate, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
 from .reports import _render
@@ -37,9 +34,10 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def _validate(request: RunRequest) -> None:
-    if request.command in ("solve", "solve-sketched", "verify", "oracle"):
-        if (request.input_path is None) == (request.generator is None):
-            raise DomainError("exactly one of --input and --gen is required")
+    if request.command not in ("solve", "solve-sketched", "verify", "oracle", "gen"):
+        raise DomainError(f"unknown command {request.command!r}")
+    if request.command != "gen" and (request.input_path is None) == (request.generator is None):
+        raise DomainError("exactly one of --input and --gen is required")
     if request.fmt not in ("json", "csv"):
         raise DomainError(f"unknown report format {request.fmt!r}")
     if request.samples < 0:
@@ -55,10 +53,6 @@ def _validate(request: RunRequest) -> None:
             raise DomainError("gen requires --gen")
         if request.out_path is None:
             raise DomainError("gen requires --out")
-    if request.command == "bench":
-        check_count("--repeats", request.repeats)
-        if not request.grid_m or not request.grid_n or not request.grid_eps:
-            raise DomainError("bench grids must be non-empty")
 
 
 def _generated(request: RunRequest) -> PolytopeInstance:
@@ -89,7 +83,7 @@ def _weights(request: RunRequest, inst: PolytopeInstance):
         solution = oracle_solve(inst, request.tol, request.max_iters)
         return solution.weights, None, solution.iterations, request.tol, "oracle"
     eps = request.epsilon / inst.n if request.volume_mode else request.epsilon
-    record = request.trace or request.fmt == "csv"
+    record = request.fmt == "csv"
     if request.command == "solve":
         config = FixedPointConfig(epsilon=eps, iterations=request.iterations, record_history=record)
         solve, algorithm = fixed_point_solve, "fixed-point"
@@ -167,42 +161,6 @@ def _run_gen(request: RunRequest) -> int:
     return _EXIT_OK
 
 
-def _run_bench(request: RunRequest) -> int:
-    lines = ["m,n,eps,iters,repeats,median_wall_ms,mean_wall_ms,model_cost"]
-    cell = 0
-    for m in request.grid_m:
-        for n in request.grid_n:
-            for eps in request.grid_eps:
-                seed = np.random.SeedSequence([request.seed, cell]).generate_state(1)[0]
-                spec = parse_generator_spec(f"gaussian-dense:{m}x{n}", default_seed=int(seed))
-                inst = generate(spec)
-                iters = default_iterations(m, n, eps)
-                config = FixedPointConfig(epsilon=eps, iterations=iters)
-                walls = []
-                for _ in range(request.repeats):
-                    start = time.perf_counter()
-                    fixed_point_solve(inst, config)
-                    walls.append((time.perf_counter() - start) * 1e3)
-                model = iters * m * n * n
-                lines.append(
-                    f"{m},{n},{eps:.17g},{iters},{request.repeats},"
-                    f"{statistics.median(walls):.17g},{statistics.fmean(walls):.17g},{model}"
-                )
-                cell += 1
-    _emit(request, "\n".join(lines) + "\n")
-    return _EXIT_OK
-
-
-_COMMANDS = {
-    "solve": _run_graded,
-    "solve-sketched": _run_graded,
-    "verify": _run_graded,
-    "oracle": _run_graded,
-    "gen": _run_gen,
-    "bench": _run_bench,
-}
-
-
 def run(request: RunRequest) -> int:
     """Execute a validated request; returns the process exit code."""
     try:
@@ -210,7 +168,7 @@ def run(request: RunRequest) -> int:
     except DomainError as exc:
         return _fail(exc, _EXIT_BAD_REQUEST)
     try:
-        return _COMMANDS[request.command](request)
+        return (_run_gen if request.command == "gen" else _run_graded)(request)
     except DomainError as exc:
         return _fail(exc, _EXIT_BAD_REQUEST)
     except JohnEllipsoidError as exc:

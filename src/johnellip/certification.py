@@ -107,6 +107,7 @@ def certify(
             f"target_epsilon must be finite and positive, got {target_epsilon!r}"
         )
     check_count("containment_samples", containment_samples, minimum=0)
+    check_count("containment_seed", containment_seed, minimum=0)
     w = validate_weights(w, inst.m)
     n = inst.n
 
@@ -181,6 +182,7 @@ def containment_check(
     O(n * samples), never m x samples.
     """
     check_count("samples", samples)
+    check_count("seed", seed, minimum=0)
     quad, sigma = _graded(inst, w)
     return _containment(inst, quad, float(sigma.max()) - 1.0, samples, seed)
 

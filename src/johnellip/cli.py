@@ -2,12 +2,12 @@
 
 Subcommands: ``solve`` (exact weights), ``solve-sketched`` (randomized
 weights), ``verify`` (grade supplied weights), ``oracle`` (reference
-weights via greedy ascent), ``gen`` (write a generated instance), and
-``bench`` (timing sweeps).  Exit codes: 0 when the run certified (or the
-action simply succeeded), 1 when it ran but did not certify or sampled
-containment found a violation, 2 for invalid requests, 3 for runtime
-failures; failures print one JSON object ``{"error": ..., "message": ...}``
-to stderr.
+weights via greedy ascent) and ``gen`` (write a generated instance).
+Exit codes: 0 when the run certified (or the action simply succeeded), 1
+when it ran but did not certify or sampled containment found a violation,
+2 for invalid requests, 3 for runtime failures; failures print one JSON
+object ``{"error": ..., "message": ...}`` to stderr.  ``--trace`` is
+``--format csv`` under another name.
 
 The environment variable ``JOHN_THREADS`` caps BLAS/OpenMP parallelism
 (0 or unset means automatic).  The cap is applied by exporting the usual
@@ -49,14 +49,9 @@ class RunRequest:
     max_iters: int = 200_000
     volume_mode: bool = False
     samples: int = 1000
-    trace: bool = False
     weights_path: str | None = None
     out_path: str | None = None
     fmt: str = "json"
-    grid_m: tuple[int, ...] = (200, 400)
-    grid_n: tuple[int, ...] = (10,)
-    grid_eps: tuple[float, ...] = (0.5,)
-    repeats: int = 5
 
 
 def _apply_thread_cap(value: str | None) -> None:
@@ -70,14 +65,6 @@ def _apply_thread_cap(value: str | None) -> None:
     if count > 0:
         for var in _THREAD_VARS:
             os.environ.setdefault(var, str(count))
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -114,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the iteration count")
     solve.add_argument("--volume-mode", action="store_true",
                        help="aim for a (1+eps) volume factor by solving at eps/n")
-    solve.add_argument("--trace", action="store_true", help="record the per-iteration trace")
+    solve.add_argument("--trace", action="store_const", dest="fmt", const="csv",
+                       help="same as --format csv")
 
     sketched = sub.add_parser("solve-sketched", help="Gaussian-sketched solver")
     _add_instance_args(sketched)
@@ -127,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sketched.add_argument("--sketch-rows", type=int, help="override the sketch size")
     sketched.add_argument("--volume-mode", action="store_true",
                           help="aim for a (1+eps) volume factor by solving at eps/n")
-    sketched.add_argument("--trace", action="store_true",
-                          help="record the per-iteration trace (computes exact scores)")
+    sketched.add_argument("--trace", action="store_const", dest="fmt", const="csv",
+                          help="same as --format csv (computes exact scores)")
 
     verify = sub.add_parser("verify", help="grade weights from a JSON file")
     _add_instance_args(verify)
@@ -150,15 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="seed when SPEC has none")
     gen.add_argument("--out", dest="out_path", required=True, metavar="PATH",
                      help="output file")
-
-    bench = sub.add_parser("bench", help="timing sweep over gaussian instances")
-    bench.add_argument("--grid-m", type=_int_list, help="comma-separated row counts")
-    bench.add_argument("--grid-n", type=_int_list, help="comma-separated column counts")
-    bench.add_argument("--grid-eps", type=_float_list, help="comma-separated epsilon values")
-    bench.add_argument("--repeats", type=int, help="solves per grid cell")
-    bench.add_argument("--seed", type=int, help="base seed for the sweep")
-    bench.add_argument("--out", dest="out_path", metavar="PATH",
-                       help="write the CSV here instead of stdout")
 
     return parser
 

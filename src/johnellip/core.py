@@ -294,7 +294,10 @@ def _reject_unrepresentable_columns(a, g: np.ndarray) -> None:
 
 def validate_weights(w, m: int) -> np.ndarray:
     """Return ``w`` as a float64 array of shape (m,), rejecting bad values."""
-    arr = np.asarray(w, dtype=np.float64)
+    try:
+        arr = np.asarray(w, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"weight vector is not a flat numeric array: {exc}") from None
     if arr.shape != (m,):
         raise DomainError(f"weight vector must have shape ({m},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -88,6 +88,11 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=-5)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_containment_seed_rejected(self, diamond, seed):
+        with pytest.raises(DomainError, match="containment_seed"):
+            certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_seed=seed)
+
     @pytest.mark.parametrize("samples", [2.5, 0.0, 100.0, "100"])
     def test_non_integral_samples_rejected(self, diamond, samples):
         # 0.0 and 100.0 are rejected too: the report's count is an integer.
@@ -160,6 +165,11 @@ class TestContainment:
     def test_zero_samples_rejected(self, diamond):
         with pytest.raises(DomainError):
             containment_check(diamond, DIAMOND_OPTIMUM, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_seed_rejected(self, diamond, seed):
+        with pytest.raises(DomainError, match="seed"):
+            containment_check(diamond, DIAMOND_OPTIMUM, 100, seed=seed)
 
     @pytest.mark.parametrize("samples", [2.5, 100.0, "100"])
     def test_non_integral_samples_rejected(self, diamond, samples):

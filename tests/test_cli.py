@@ -100,6 +100,17 @@ class TestSolve:
         assert len(lines) == 11
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 11))
 
+    def test_trace_means_format_csv(self):
+        base = ("solve", "--gen", "gaussian-dense:40x4:seed=1", "--eps", "0.5")
+        runs = [run_cli(*base, *flags) for flags in (("--trace",), ("--format", "csv"))]
+        assert [r.returncode for r in runs] == [0, 0]
+        # Equal apart from the measured wall_ms column.
+        trace, csv = ([line.rsplit(",", 1)[0] for line in r.stdout.splitlines()] for r in runs)
+        assert trace == csv and len(trace) == 11
+        # Of --trace and --format, the last one given wins.
+        assert report_of(run_cli(*base, "--trace", "--format", "json"))["iterations"] == 10
+        assert run_cli(*base, "--format", "json", "--trace").stdout.startswith("iter,")
+
     def test_report_to_file(self, tmp_path):
         out = tmp_path / "report.json"
         result = run_cli("solve", "--gen", "identity-cube:3", "--out", str(out))
@@ -192,24 +203,6 @@ class TestOracle:
         assert json.loads(result.stderr)["error"] == "NoConvergenceError"
 
 
-class TestBench:
-    def test_grid_csv(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        result = run_cli(
-            "bench", "--grid-m", "30,40", "--grid-n", "3", "--grid-eps", "0.5",
-            "--repeats", "1", "--out", str(out),
-        )
-        assert result.returncode == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "m,n,eps,iters,repeats,median_wall_ms,mean_wall_ms,model_cost"
-        assert len(lines) == 3
-        first, second = lines[1].split(","), lines[2].split(",")
-        assert first[0] == "30" and second[0] == "40"
-        assert first[4] == "1"
-        # model_cost = iters * m * n^2
-        assert int(first[7]) == int(first[3]) * 30 * 9
-
-
 class TestFailureModes:
     def test_bad_epsilon_is_exit_2(self):
         result = run_cli("solve", "--gen", "identity-cube:3", "--eps", "1.5")
@@ -241,8 +234,27 @@ class TestFailureModes:
     def test_help(self):
         result = run_cli("-h")
         assert result.returncode == 0
-        for name in ("solve", "solve-sketched", "verify", "oracle", "gen", "bench"):
+        for name in ("solve", "solve-sketched", "verify", "oracle", "gen"):
             assert name in result.stdout
+        assert "bench" not in result.stdout
+        assert run_cli("bench").returncode == 2
+
+    @pytest.mark.parametrize("text", ['{"a": 1}', '["a", 1, 1, 1]'])
+    def test_malformed_weights_file_is_exit_2(self, tmp_path, text):
+        weights = tmp_path / "w.json"
+        weights.write_text(text)
+        result = run_cli("verify", "--gen", "rotated-diamond:seed=3", "--weights", str(weights))
+        assert result.returncode == 2
+        assert json.loads(result.stderr)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_negative_seed_is_exit_2(self, diamond_weights, command):
+        extra = ("--weights", str(diamond_weights)) if command == "verify" else ()
+        result = run_cli(command, "--gen", "rotated-diamond:seed=3", "--seed", "-1", *extra)
+        assert result.returncode == 2
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "DomainError"
+        assert "containment_seed" in payload["message"]
 
 
 class TestThreadCap:
@@ -271,6 +283,12 @@ class TestProgrammaticRun:
         request = RunRequest(command="solve", generator="identity-cube:3", samples=-1)
         assert run(request) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["bench", "nope"])
+    def test_unknown_command_rejected(self, capsys, command):
+        assert run(RunRequest(command=command)) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "DomainError", "message": f"unknown command {command!r}"}
 
     def test_solve_round_trip(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -346,6 +364,25 @@ class TestGradedPath:
         assert seen == [1520181]
         assert "warning: volume mode implies 1520181 iterations" in captured.err
         assert json.loads(captured.out)["iterations"] == 1520181
+
+    def test_json_report_records_no_history(self, monkeypatch, capsys):
+        # The per-iterate history costs an exact sweep per sketched iterate,
+        # so only a CSV report asks for it.
+        seen = []
+
+        def stub(inst, config):
+            seen.append(config.record_history)
+            return np.full(inst.m, inst.n / inst.m), SolveTrace()
+
+        monkeypatch.setattr(johnellip._driver, "sketched_solve", stub)
+        for fmt in ("json", "csv"):
+            request = RunRequest(
+                command="solve-sketched", generator="gaussian-dense:60x4:seed=0",
+                epsilon=0.5, samples=0, fmt=fmt,
+            )
+            run(request)
+        capsys.readouterr()
+        assert seen == [False, True]
 
     @pytest.mark.parametrize("iterations", [None, 3])
     def test_volume_mode_warns_about_the_sketch_block(self, monkeypatch, capsys, iterations):

@@ -203,7 +203,8 @@ class TestValidateWeights:
 
     @pytest.mark.parametrize(
         "bad",
-        [[1.0, 2.0], [1.0, -0.5, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0]],
+        [[1.0, 2.0], [1.0, -0.5, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
+         {"a": 1}, ["a", 1, 1], [[1.0], [1.0, 1.0]]],
     )
     def test_bad_weights_rejected(self, bad):
         with pytest.raises(DomainError):
