@@ -9,7 +9,7 @@ import time
 from .certification import certify, oracle_solve
 from .cli import RunRequest
 from .core import PolytopeInstance, validate_weights
-from .errors import DomainError, JohnEllipsoidError, check_unit_interval
+from .errors import DomainError, JohnEllipsoidError, check_count, check_unit_interval
 from .fixed_point import FixedPointConfig, fixed_point_solve
 from .generators import generate, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
@@ -40,8 +40,8 @@ def _validate(request: RunRequest) -> None:
         raise DomainError("exactly one of --input and --gen is required")
     if request.fmt not in ("json", "csv"):
         raise DomainError(f"unknown report format {request.fmt!r}")
-    if request.samples < 0:
-        raise DomainError(f"--samples must be >= 0, got {request.samples}")
+    check_count("--seed", request.seed, minimum=0)
+    check_count("--samples", request.samples, minimum=0)
     if request.command in ("solve", "solve-sketched", "verify"):
         check_unit_interval("--eps", request.epsilon)
     if request.command == "solve-sketched":

@@ -17,8 +17,7 @@ import numpy as np
 from .core import (
     EllipsoidQuadratic,
     PolytopeInstance,
-    _block_rows,
-    _row_block,
+    _row_products,
     _scores,
     cholesky_of_weighted_gram,
     validate_weights,
@@ -176,9 +175,10 @@ def containment_check(
     to sample j.
 
     Both tests need only the column maxima of ``|A u|``, since each x is a
-    positive multiple of its u, so A is read once, in row blocks of
-    ``max(1, core._BLOCK_ELEMENTS // samples)`` rows, whose products fill
-    one block of about 1 MiB; scratch memory is that block plus
+    positive multiple of its u, so A is read once, by core's streamed pass
+    (``core._row_products``), in row blocks of
+    ``max(1, core._BLOCK_ELEMENTS // samples)`` rows whose products fill one
+    block of about 1 MiB; scratch memory is that block plus
     O(n * samples), never m x samples.
     """
     check_count("samples", samples)
@@ -202,18 +202,9 @@ def _containment(
     u /= np.linalg.norm(u, axis=0)
 
     au_inf = np.zeros(samples)
-    rows = _block_rows(inst.m, samples)
-    # One product block is live at a time: dense blocks are written into one
-    # scratch array, and each CSR product is released before the next.
-    scratch = None if inst.is_sparse else np.empty((rows, samples))
-    for start in range(0, inst.m, rows):
-        a_blk = _row_block(inst.matrix, start, start + rows)
-        if inst.is_sparse:
-            block = a_blk @ u
-        else:
-            block = np.matmul(a_blk, u, out=scratch[: a_blk.shape[0]])
+    for _, block in _row_products(inst, u):
         np.maximum(au_inf, np.abs(block, out=block).max(axis=0), out=au_inf)
-        del block
+        del block  # one product block live at a time, also for CSR
 
     # x = u / scale with scale = sqrt(1+eps_hat) * ||L^T u||, so
     # x^T Q x = 1/(1+eps_hat) and ||A x||_inf = ||A u||_inf / scale.

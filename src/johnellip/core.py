@@ -17,11 +17,15 @@ float64 and instances are immutable after construction.  ``Q(w)`` is linear
 in w, so a CSR instance whose rows are sparse also carries, built on first
 use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
 Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
-matrix ``U``, two sparse mat-vecs per sweep.  Every pass over ``A`` shares
-one scratch budget, ``_BLOCK_ELEMENTS`` (about 1 MiB): the dense Gram and
-scores, the CSR score blocks, the dense zero-row check, the build of ``P``
-and containment sampling (``certification``) each take row blocks sized
-from it, so none allocates an ``m x n`` or ``m x samples`` array.
+matrix ``U``, two sparse mat-vecs per sweep.  Every other product of ``A``
+with a small dense matrix goes through one streamed pass,
+:func:`_row_products`, reduced per row (the scores, the sketched sweep's
+image norms, via :func:`_row_norms`) or per column (containment sampling in
+``certification``), so how ``A`` is stored matters to this module alone.
+Every pass over ``A`` shares one scratch budget, ``_BLOCK_ELEMENTS`` (about
+1 MiB): that pass, the dense Gram, the dense zero-row check and the build of
+``P`` each take row blocks sized from it, so none allocates an ``m x n``,
+``m x s`` or ``m x samples`` array.
 Every dense BLAS and LAPACK call of the solvers and the verification layer
 goes through numpy; scipy's LAPACK is used once per instance, for the rank
 check when an instance is built (:func:`build_instance`, :func:`_adopt`).
@@ -62,10 +66,10 @@ RANK_PIVOT_RTOL = 1e-10
 # GRAM_PIVOT_FLOOR means the weighted Gram matrix has effectively lost rank.
 GRAM_PIVOT_FLOOR = 1e-14
 # The one scratch budget of every pass over A, in 8-byte elements (1 MiB):
-# a pass over rows of width k (n columns, or containment's sample count)
-# takes max(1, _BLOCK_ELEMENTS // k) rows at a time (_block_rows).  A dense
-# sweep timed the same from 2^15 to 2^17 at 50000x50 and slightly slower at
-# 2^18; at 20000x200, 2^15 was 27% slower than 2^17.
+# a pass over rows of width k (n columns, the sketch size or containment's
+# sample count) takes max(1, _BLOCK_ELEMENTS // k) rows at a time
+# (_block_rows).  A dense sweep timed the same from 2^15 to 2^17 at 50000x50
+# and slightly slower at 2^18; at 20000x200, 2^15 was 27% slower than 2^17.
 _BLOCK_ELEMENTS = 2**17
 # The row-pair operator P is built only when it holds at most this many
 # entries per nonzero of A (rows of about 7 nonzeros on average), so it is
@@ -364,21 +368,41 @@ def _block_rows(m: int, width: int) -> int:
     return min(m, max(1, _BLOCK_ELEMENTS // width))
 
 
-def _row_block(a, start: int, stop: int):
-    """Rows ``start:stop`` of ``A`` without copying its entries.
+def _row_products(inst: PolytopeInstance, right: np.ndarray):
+    """Yield ``(start, A[start:stop] @ right)`` over the row blocks of ``A``.
 
-    A CSR block shares ``A``'s data and indices and gets its own shifted
-    ``indptr``; scipy's row slicing copies all three, which at containment's
+    The one streamed pass behind the scores, the sketched sweep and
+    containment: blocks take ``_block_rows(m, k)`` rows for a ``right`` of
+    k columns, so each product fits the scratch budget.  Dense products are
+    written into one reused scratch block, so a caller must finish with a
+    block (it may overwrite it) before asking for the next.  A CSR block
+    shares ``A``'s data and indices and gets its own shifted ``indptr``;
+    scipy's row slicing copies all three, which at containment's
     1000-sample blocks of 131 rows costs a tenth of the pass.
     """
-    if not sp.issparse(a):
-        return a[start:stop]
-    stop = min(stop, a.shape[0])
-    lo, hi = a.indptr[start], a.indptr[stop]
-    return sp.csr_array(
-        (a.data[lo:hi], a.indices[lo:hi], a.indptr[start : stop + 1] - lo),
-        shape=(stop - start, a.shape[1]),
-    )
+    a, m = inst.matrix, inst.m
+    rows = _block_rows(m, right.shape[1])
+    scratch = None if inst.is_sparse else np.empty((rows, right.shape[1]))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        if scratch is not None:
+            yield start, np.matmul(a[start:stop], right, out=scratch[: stop - start])
+        else:
+            lo, hi = a.indptr[start], a.indptr[stop]
+            block = sp.csr_array(
+                (a.data[lo:hi], a.indices[lo:hi], a.indptr[start : stop + 1] - lo),
+                shape=(stop - start, a.shape[1]),
+            )
+            yield start, block @ right
+
+
+def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
+    """Squared row norms of ``A @ right``, one row block at a time, so no
+    ``m x k`` product is formed."""
+    norms = np.empty(inst.m)
+    for start, x in _row_products(inst, right):
+        np.einsum("ij,ij->i", x, x, out=norms[start : start + x.shape[0]])
+    return norms
 
 
 def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
@@ -441,11 +465,9 @@ def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
     off-diagonal doubled: O(sum_i nnz_i^2).  Its rounding error is of the
     order of the error the Gram's own rounding puts into the scores; a
     quadratic form can still dip below zero where a squared norm cannot, so
-    the result is clipped at zero.  Other input multiplies each block of
-    ``max(1, _BLOCK_ELEMENTS // n)`` rows of A by ``L^{-T}``
-    (``quad.inv_l``) and takes squared row norms: O(m n^2) dense, O(nnz n)
-    sparse, with no copy of A.  Dense blocks are written into one reused
-    scratch block, the same size as the Gram's.
+    the result is clipped at zero.  Other input takes the squared row norms
+    of ``A L^{-T}`` (``quad.inv_l``) from the streamed pass
+    :func:`_row_norms`: O(m n^2) dense, O(nnz n) sparse, with no copy of A.
     """
     pairs = inst._pairs
     if pairs is not None:
@@ -453,18 +475,7 @@ def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
         upper = 2.0 * np.triu(inverse, 1) + np.diag(np.diag(inverse))
         sigma = pairs @ upper.ravel()
         return np.maximum(sigma, 0.0, out=sigma)
-    inv_t = np.ascontiguousarray(quad.inv_l.T)
-    rows = _block_rows(inst.m, inst.n)
-    scratch = None if inst.is_sparse else np.empty((rows, inst.n))
-    sigma = np.empty(inst.m)
-    for start in range(0, inst.m, rows):
-        block = _row_block(inst.matrix, start, start + rows)
-        if inst.is_sparse:
-            x = block @ inv_t
-        else:
-            x = np.matmul(block, inv_t, out=scratch[: block.shape[0]])
-        np.einsum("ij,ij->i", x, x, out=sigma[start : start + rows])
-    return sigma
+    return _row_norms(inst, np.ascontiguousarray(quad.inv_l.T))
 
 
 def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:

@@ -26,7 +26,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import PolytopeInstance, _adopt
-from .errors import DomainError, GenerationFailedError, RankDeficientError, ZeroRowError
+from .errors import (
+    DomainError,
+    GenerationFailedError,
+    RankDeficientError,
+    ZeroRowError,
+    check_count,
+)
 
 __all__ = ["GeneratorSpec", "FAMILIES", "generate", "parse_generator_spec"]
 
@@ -66,8 +72,7 @@ class GeneratorSpec:
             raise DomainError(f"density must lie in (0, 1], got {self.density!r}")
         if self.family == "scaled-cube" and self.scale <= 0.0:
             raise DomainError(f"scale must be positive, got {self.scale!r}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
+        check_count("seed", self.seed, minimum=0)
 
 
 def generate(spec: GeneratorSpec) -> PolytopeInstance:

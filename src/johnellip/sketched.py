@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolytopeInstance, cholesky_of_weighted_gram, leverage_scores
-from .errors import DomainError, check_count, check_unit_interval
+from .core import PolytopeInstance, _row_norms, cholesky_of_weighted_gram, leverage_scores
+from .errors import check_count, check_unit_interval
 from .fixed_point import SolveTrace, _average_iterates
 
 __all__ = [
@@ -59,9 +59,12 @@ class SketchConfig:
     """Sketched-solver knobs.
 
     ``sketch_rows`` and ``iterations`` default to the values above when
-    left as None.  ``record_history`` computes exact score maxima per
-    iterate for the trace, which costs one exact sweep per iteration and
-    exists for diagnostics only.
+    left as None.  ``seed`` follows the package's one rule for seeds, as
+    ``certify``'s ``containment_seed`` and ``GeneratorSpec.seed`` do: any
+    integer, Python or numpy, that is at least 0 (``errors.check_count``).
+    ``record_history`` computes exact score maxima per iterate for the
+    trace, which costs one exact sweep per iteration and exists for
+    diagnostics only.
     """
 
     epsilon: float
@@ -74,8 +77,7 @@ class SketchConfig:
     def __post_init__(self):
         check_unit_interval("epsilon", self.epsilon)
         check_unit_interval("delta", self.delta)
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_count("seed", self.seed, minimum=0)
         if self.sketch_rows is not None:
             check_count("sketch_rows", self.sketch_rows)
         if self.iterations is not None:
@@ -103,20 +105,19 @@ def _sketch_step(
 
     Computes ``S B`` first (rows x n), then applies ``(B^T B)^{-1}`` as two
     products by the inverse ``L^{-1}`` of its Cholesky factor (n x n,
-    ``quad.inv_l``), so every dense call stays on numpy's BLAS.  ``S`` is
-    drawn into ``out`` (a ``rows x m`` float64 buffer) when one is given and
-    scaled there in place, so repeated sweeps reuse one block.
+    ``quad.inv_l``), so every dense call stays on numpy's BLAS.  The image
+    ``A (S B (B^T B)^{-1})^T`` is reduced to its squared row norms by core's
+    streamed pass (``core._row_norms``), one row block at a time, so no
+    ``m x rows`` image is formed.  ``S`` is drawn into ``out`` (a
+    ``rows x m`` float64 buffer) when one is given and scaled there in
+    place, so repeated sweeps reuse one block, the only scratch that grows
+    as ``m x rows``.
     """
     quad = cholesky_of_weighted_gram(inst, w)
     scaled = rng.standard_normal((rows, inst.m), out=out)
     scaled *= np.sqrt(w)
-    if inst.is_sparse:
-        projected = (inst.matrix.T @ scaled.T).T
-    else:
-        projected = scaled @ inst.matrix
-    flat = (projected @ quad.inv_l.T) @ quad.inv_l
-    image = inst.matrix @ flat.T
-    return w * np.einsum("ij,ij->i", image, image) / rows
+    flat = ((scaled @ inst.matrix) @ quad.inv_l.T) @ quad.inv_l
+    return w * _row_norms(inst, flat.T) / rows
 
 
 def sketched_solve(

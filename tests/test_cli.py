@@ -254,7 +254,7 @@ class TestFailureModes:
         assert result.returncode == 2
         payload = json.loads(result.stderr)
         assert payload["error"] == "DomainError"
-        assert "containment_seed" in payload["message"]
+        assert "--seed" in payload["message"]
 
 
 class TestThreadCap:
@@ -283,6 +283,16 @@ class TestProgrammaticRun:
         request = RunRequest(command="solve", generator="identity-cube:3", samples=-1)
         assert run(request) == 2
         capsys.readouterr()
+
+    def test_negative_seed_rejected_before_the_solve(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran for a request that names a bad seed")
+
+        monkeypatch.setattr(johnellip._driver, "fixed_point_solve", never)
+        request = RunRequest(command="solve", generator="gaussian-dense:40x4:seed=1", seed=-1)
+        assert run(request) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "DomainError", "message": "--seed must be >= 0, got -1"}
 
     @pytest.mark.parametrize("command", ["bench", "nope"])
     def test_unknown_command_rejected(self, capsys, command):

@@ -130,6 +130,11 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             GeneratorSpec(**kwargs)
 
+    def test_fractional_seed_rejected_at_construction(self):
+        # Not later, as numpy's TypeError from default_rng inside generate.
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            GeneratorSpec("gaussian-dense", 10, 2, seed=1.5)
+
     def test_density_one_allowed(self):
         inst = generate(GeneratorSpec("sparse-bernoulli", m=12, n=3, density=1.0, seed=0))
         assert inst.m == 12 and inst.matrix.nnz == 36

@@ -6,6 +6,7 @@ consumption order is part of the solver's documented contract.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from johnellip import (
     default_sketch_iterations,
     default_sketch_rows,
     expected_row_sum_distribution_check,
+    generate,
     leverage_scores,
+    parse_generator_spec,
     sketched_solve,
 )
 from johnellip import sketched
@@ -78,6 +81,14 @@ class TestConfig:
     def test_bad_config(self, kwargs):
         with pytest.raises(DomainError):
             SketchConfig(**kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        # The same rule as certify's containment_seed, which accepts it too.
+        inst = gaussian(50, 4, seed=0)
+        config = SketchConfig(epsilon=0.5, delta=0.1, seed=np.int64(3), iterations=3)
+        v, _ = sketched_solve(inst, config)
+        w, _ = sketched_solve(inst, SketchConfig(epsilon=0.5, delta=0.1, seed=3, iterations=3))
+        assert np.array_equal(v, w)
 
 
 class TestSolve:
@@ -137,6 +148,34 @@ class TestSolve:
         v, _ = sketched_solve(build_instance(matrix), config)
         assert [float(x).hex() for x in v[:4]] == expected
 
+    @pytest.mark.parametrize(
+        "spec, rows, expected",
+        [
+            # 4096 rows stream in 4 blocks of 1024 rows at 128 sketch rows.
+            # Dense dimensions are multiples of 16: there the bits were the
+            # same on one and two BLAS threads, which round some products of
+            # other shapes differently.
+            ("gaussian-dense:4096x16:seed=4", 128, [
+                "0x1.2251e256e5101p-8", "0x1.21722f156a58fp-8",
+                "0x1.14cd8fe01104bp-9", "0x1.6d094540204dfp-9",
+            ]),
+            # Rows of about 12 nonzeros: above the pair cut, so the CSR
+            # row-block path, in 4 blocks of 819 rows at 160 sketch rows.
+            ("sparse-bernoulli:3000x40:density=0.3:seed=4", None, [
+                "0x1.9f9b19cca1230p-8", "0x1.3e912976c8402p-8",
+                "0x1.401994aae17f8p-7", "0x1.7bb818ab4d55ep-8",
+            ]),
+        ],
+    )
+    def test_frozen_weights_across_row_blocks(self, spec, rows, expected):
+        # Recorded when each sweep still formed its whole m x s image.
+        inst = generate(parse_generator_spec(spec))
+        if inst.is_sparse:
+            assert inst._pairs is None
+        config = SketchConfig(epsilon=0.5, delta=0.1, seed=5, iterations=4, sketch_rows=rows)
+        v, _ = sketched_solve(inst, config)
+        assert [float(x).hex() for x in v[:4]] == expected
+
     def test_trace_records_exact_scores(self, diamond):
         config = SketchConfig(
             epsilon=0.5, delta=0.1, seed=0, iterations=4, record_history=True
@@ -183,6 +222,21 @@ class TestSingleStep:
         errors = np.abs(draws.mean(axis=0) - exact)
         stderr = draws.std(axis=0, ddof=1) / math.sqrt(2000)
         assert np.all(errors <= 4.0 * stderr)
+
+    def test_image_is_streamed_not_formed(self):
+        # The whole 20000 x 160 image would take 24.4 MiB; the draw goes into
+        # the buffer passed in, so one sweep needs a row block and O(s n).
+        inst = gaussian(20000, 20, seed=0)
+        w = np.full(inst.m, 20 / inst.m)
+        buffer = np.empty((160, inst.m))
+        tracemalloc.start()
+        try:
+            estimate = _sketch_step(inst, w, 160, np.random.default_rng(0), buffer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert estimate.shape == (inst.m,)
+        assert peak < 4 * 2**20
 
     def test_error_shrinks_with_sketch_size(self, diamond):
         uniform = np.full(4, 0.5)
