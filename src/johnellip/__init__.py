@@ -6,8 +6,9 @@ such that ``{x : x^T A^T diag(w) A x <= 1}`` is a provably good inscribed
 ellipsoid, via an exact leverage-score fixed-point iteration or a
 Gaussian-sketched variant, and certifies the result independently.
 
-Submodules are imported lazily so the ``johnellip`` command can cap BLAS
-threading (see ``JOHN_THREADS``) before the numerical stack loads.
+Submodules are imported lazily, on first access to a name below, so that
+``johnellip --help`` and the command line's usage errors load neither numpy
+nor scipy (see ``cli``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ _EXPORTS = {
     "build_instance": "core",
     "cholesky_of_weighted_gram": "core",
     "leverage_scores": "core",
-    "objective_value": "core",
     "validate_weights": "core",
     # fixed_point
     "FixedPointConfig": "fixed_point",
@@ -55,7 +55,6 @@ _EXPORTS = {
     "TRACE_HEADER": "reports",
     "render_report_json": "reports",
     "render_trace_csv": "reports",
-    "write_report": "reports",
     # cli
     "RunRequest": "cli",
     # errors

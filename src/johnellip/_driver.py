@@ -44,8 +44,15 @@ def _validate(request: RunRequest) -> None:
     check_count("--samples", request.samples, minimum=0)
     if request.command in ("solve", "solve-sketched", "verify"):
         check_unit_interval("--eps", request.epsilon)
+    if request.command in ("solve", "solve-sketched") and request.iterations is not None:
+        check_count("--iters", request.iterations)
     if request.command == "solve-sketched":
         check_unit_interval("--delta", request.delta)
+        if request.sketch_rows is not None:
+            check_count("--sketch-rows", request.sketch_rows)
+    if request.command == "oracle":
+        check_unit_interval("--tol", request.tol)
+        check_count("--max-iters", request.max_iters)
     if request.command == "verify" and request.weights_path is None:
         raise DomainError("verify requires --weights")
     if request.command == "gen":

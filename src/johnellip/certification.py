@@ -22,7 +22,13 @@ from .core import (
     cholesky_of_weighted_gram,
     validate_weights,
 )
-from .errors import DomainError, NoConvergenceError, check_count, check_unit_interval
+from .errors import (
+    DomainError,
+    NoConvergenceError,
+    check_count,
+    check_real,
+    check_unit_interval,
+)
 
 __all__ = [
     "CertificateReport",
@@ -101,6 +107,7 @@ def certify(
 
     ``containment_samples=0`` skips the sampled containment checks.
     """
+    check_real("target_epsilon", target_epsilon)
     if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
         raise DomainError(
             f"target_epsilon must be finite and positive, got {target_epsilon!r}"

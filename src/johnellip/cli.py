@@ -9,28 +9,18 @@ when it ran but did not certify or sampled containment found a violation,
 object ``{"error": ..., "message": ...}`` to stderr.  ``--trace`` is
 ``--format csv`` under another name.
 
-The environment variable ``JOHN_THREADS`` caps BLAS/OpenMP parallelism
-(0 or unset means automatic).  The cap is applied by exporting the usual
-thread-count variables before the numerical stack loads, which is why this
-module and the package root import nothing heavy at module scope.
+This module and the package root import nothing heavy at module scope, so
+``johnellip --help`` and argparse's usage errors answer without loading
+numpy or scipy; the implementation (``_driver``) is imported only once a
+request has parsed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import sys
 from dataclasses import dataclass
 
 __all__ = ["RunRequest", "main"]
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 
 @dataclass(frozen=True)
@@ -52,19 +42,6 @@ class RunRequest:
     weights_path: str | None = None
     out_path: str | None = None
     fmt: str = "json"
-
-
-def _apply_thread_cap(value: str | None) -> None:
-    if not value:
-        return
-    try:
-        count = int(value)
-    except ValueError:
-        print(f"warning: ignoring non-integer JOHN_THREADS={value!r}", file=sys.stderr)
-        return
-    if count > 0:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(count))
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -143,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap(os.environ.get("JOHN_THREADS"))
     parser = _build_parser()
     args = parser.parse_args(argv)
     # Every dest is a RunRequest field; flags left unset keep its defaults.

@@ -9,8 +9,7 @@ verification layer:
   factor, held with ``logdet`` and, formed on first use, ``L^{-1}`` and
   ``Q^{-1}`` in one :class:`EllipsoidQuadratic` per weight vector,
 * the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i`` (leverage scores of row i
-  of ``sqrt(W) A`` divided by ``w_i``),
-* the penalized design objective ``sum(w) - logdet Q(w) - n``.
+  of ``sqrt(W) A`` divided by ``w_i``).
 
 Dense matrices are stored row-major, sparse ones in CSR.  All arrays are
 float64 and instances are immutable after construction.  ``Q(w)`` is linear
@@ -55,7 +54,6 @@ __all__ = [
     "build_instance",
     "cholesky_of_weighted_gram",
     "leverage_scores",
-    "objective_value",
     "validate_weights",
 ]
 
@@ -101,10 +99,6 @@ class PolytopeInstance:
     def is_sparse(self) -> bool:
         return sp.issparse(self.matrix)
 
-    @property
-    def storage(self) -> str:
-        return "csr" if self.is_sparse else "dense"
-
     def row_dense(self, i: int) -> np.ndarray:
         """Row i as a dense 1-D array."""
         if self.is_sparse:
@@ -140,10 +134,6 @@ class EllipsoidQuadratic:
     L: np.ndarray
     logdet: float
 
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
-
     @cached_property
     def inv_l(self) -> np.ndarray:
         return _lock(np.linalg.inv(self.L))
@@ -159,18 +149,18 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_instance(entries, m: int | None = None, n: int | None = None) -> PolytopeInstance:
+def build_instance(entries) -> PolytopeInstance:
     """Validate a constraint matrix and wrap it as a :class:`PolytopeInstance`.
 
     ``entries`` may be anything `numpy.asarray` accepts or a scipy sparse
-    matrix (stored as CSR).  Optional ``m``/``n`` assert the expected shape.
-    The caller keeps ``entries``: they are copied once, and the instance
-    holds the copy (see :func:`_adopt` for the checks and the lock).
+    matrix (stored as CSR); its shape is the instance's ``(m, n)``.  The
+    caller keeps ``entries``: they are copied once, and the instance holds
+    the copy (see :func:`_adopt` for the checks and the lock).
 
     Raises
     ------
     DimensionError
-        Not 2-D, empty, m < n, or shape mismatch with ``m``/``n``.
+        Not 2-D, empty, or m < n.
     DomainError
         Some entry is not finite, or some nonzero column's squared norm
         overflows or falls below the normal float64 range, so that no Gram
@@ -183,11 +173,11 @@ def build_instance(entries, m: int | None = None, n: int | None = None) -> Polyt
         The scaling makes the verdict independent of column scale.
     """
     if sp.issparse(entries):
-        return _adopt(sp.csr_array(entries, dtype=np.float64, copy=True), m, n)
-    return _adopt(np.array(entries, dtype=np.float64, order="C", copy=True), m, n)
+        return _adopt(sp.csr_array(entries, dtype=np.float64, copy=True))
+    return _adopt(np.array(entries, dtype=np.float64, order="C", copy=True))
 
 
-def _adopt(a, m: int | None = None, n: int | None = None) -> PolytopeInstance:
+def _adopt(a) -> PolytopeInstance:
     """Validate ``a`` and make it the matrix of a new instance, without a copy.
 
     For arrays the caller has just made and hands over: :func:`build_instance`
@@ -196,7 +186,9 @@ def _adopt(a, m: int | None = None, n: int | None = None) -> PolytopeInstance:
     holds one copy of ``A``.  A float64 C-ordered ndarray or a float64 CSR
     array is used as it is (a CSR array is canonicalized in place); anything
     else is converted first.  The buffers are then locked read-only, so the
-    caller must not write to them afterwards.
+    caller must not write to them afterwards.  The shape is the array's own:
+    each caller has just built the array at the shape it means (the Matrix
+    Market reader from the file's size line), so there is none to compare.
 
     The rank check's Gram ``A^T A`` is formed first and stands in for a scan
     of ``A`` for non-finite entries: each diagonal entry is a sum of squares
@@ -216,10 +208,6 @@ def _adopt(a, m: int | None = None, n: int | None = None) -> PolytopeInstance:
             raise DimensionError(f"constraint matrix must be 2-D, got ndim={a.ndim}")
 
     rows, cols = a.shape
-    if m is not None and rows != m:
-        raise DimensionError(f"expected {m} rows, got {rows}")
-    if n is not None and cols != n:
-        raise DimensionError(f"expected {n} columns, got {cols}")
     if cols < 1:
         raise DimensionError("constraint matrix needs at least one column")
     if rows < cols:
@@ -485,10 +473,3 @@ def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
     those products lie in [0, 1] and sum to n for any valid weights.
     """
     return _scores(inst, cholesky_of_weighted_gram(inst, w))
-
-
-def objective_value(inst: PolytopeInstance, w) -> float:
-    """Penalized design objective ``sum(w) - logdet Q(w) - n``."""
-    w = validate_weights(w, inst.m)
-    quad = cholesky_of_weighted_gram(inst, w)
-    return float(np.sum(w)) - quad.logdet - inst.n

@@ -57,16 +57,26 @@ class GenerationFailedError(JohnEllipsoidError):
     """Random generation kept producing invalid matrices and gave up."""
 
 
+def check_real(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a real scalar (Python or
+    numpy), not a bool, a string or an array."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 def check_unit_interval(name: str, value) -> None:
-    """Raise :class:`DomainError` unless ``0 < value < 1`` (epsilon, delta, tol)."""
+    """Raise :class:`DomainError` unless ``value`` is a real scalar with
+    ``0 < value < 1`` (epsilon, delta, tol)."""
+    check_real(name, value)
     if not 0.0 < value < 1.0:
         raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def check_count(name: str, value, minimum: int = 1) -> None:
+def check_count(name: str, value, minimum: int | None = 1) -> None:
     """Raise :class:`DomainError` unless ``value`` is an integer (Python or
-    numpy) of at least ``minimum``."""
-    if not isinstance(value, numbers.Integral):
+    numpy, not a bool) of at least ``minimum``; ``minimum=None`` checks the
+    type alone, for a caller whose range rule spans several values."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value!r}")

@@ -20,6 +20,7 @@ after 10 attempts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     RankDeficientError,
     ZeroRowError,
     check_count,
+    check_real,
 )
 
 __all__ = ["GeneratorSpec", "FAMILIES", "generate", "parse_generator_spec"]
@@ -62,6 +64,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        check_count("m", self.m, minimum=None)
+        check_count("n", self.n, minimum=None)
+        check_real("density", self.density)
+        check_real("scale", self.scale)
         if self.n < 1 or self.m < self.n:
             raise DomainError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if self.family in ("identity-cube", "scaled-cube") and self.m != self.n:
@@ -72,6 +78,8 @@ class GeneratorSpec:
             raise DomainError(f"density must lie in (0, 1], got {self.density!r}")
         if self.family == "scaled-cube" and self.scale <= 0.0:
             raise DomainError(f"scale must be positive, got {self.scale!r}")
+        if self.family == "scaled-cube" and not math.isfinite(self.scale):
+            raise DomainError(f"scale must be finite, got {self.scale!r}")
         check_count("seed", self.seed, minimum=0)
 
 

@@ -207,9 +207,9 @@ def read_matrix_market(path) -> PolytopeInstance:
     layout, m, n, arrays = _parse_bulk(path) or _parse_lines(path)
     if layout == "coordinate":
         vals, rows, cols = arrays
-        return _adopt(sp.coo_array((vals, (rows, cols)), shape=(m, n)), m=m, n=n)
+        return _adopt(sp.coo_array((vals, (rows, cols)), shape=(m, n)))
     # The array format lists columns first; _adopt copies it once to C order.
-    return _adopt(arrays[0].reshape((n, m)).T, m=m, n=n)
+    return _adopt(arrays[0].reshape((n, m)).T)
 
 
 def write_matrix_market(path, inst: PolytopeInstance) -> None:

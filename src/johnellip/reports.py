@@ -24,7 +24,6 @@ __all__ = [
     "TRACE_HEADER",
     "render_report_json",
     "render_trace_csv",
-    "write_report",
 ]
 
 REPORT_KEYS = (
@@ -86,14 +85,3 @@ def _render(fields: dict, trace: SolveTrace | None, fmt: str) -> str:
     if fmt == "csv":
         return render_trace_csv(trace if trace is not None else SolveTrace())
     raise ValueError(f"unknown report format {fmt!r} (json or csv)")
-
-
-def write_report(fields: dict, trace: SolveTrace | None, path, fmt: str) -> None:
-    """Write the JSON report or the CSV trace to ``path``.
-
-    ``fmt`` must be ``"json"`` or ``"csv"``; I/O errors propagate as
-    :class:`OSError`.
-    """
-    text = _render(fields, trace, fmt)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(text)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import DIAMOND_OPTIMUM, gaussian, reference_logdet, reference_scores
+from conftest import DIAMOND_OPTIMUM, DIAMOND_ROWS, gaussian, reference_logdet, reference_scores
 from johnellip import (
     DomainError,
     FixedPointConfig,
@@ -79,6 +79,27 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(diamond, DIAMOND_OPTIMUM, target)
 
+    @pytest.mark.parametrize("target", ["0.1", None, True, np.array([0.1])])
+    def test_non_real_target(self, diamond, target):
+        # A DomainError, not the TypeError of math.isfinite.
+        with pytest.raises(DomainError, match="target_epsilon must be a real number"):
+            certify(diamond, DIAMOND_OPTIMUM, target)
+
+    @pytest.mark.parametrize(
+        "matrix,w,expected",
+        [
+            (np.eye(4), np.ones(4), 0.0),
+            (DIAMOND_ROWS, DIAMOND_OPTIMUM, -math.log(4.0)),
+            # sum w - logdet(2 I_2) - n = 4 - 2 log 2 - 2
+            (np.eye(2), [2.0, 2.0], 2.0 - 2.0 * math.log(2.0)),
+        ],
+        ids=["identity", "diamond", "scaled-identity-pair"],
+    )
+    def test_objective(self, matrix, w, expected):
+        # The penalized design objective sum(w) - logdet Q(w) - n.
+        report = certify(build_instance(matrix), w, 0.1, containment_samples=0)
+        assert math.isclose(report.objective, expected, rel_tol=1e-14, abs_tol=0.0)
+
     def test_containment_can_be_skipped(self, diamond):
         report = certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=0)
         assert report.containment_samples == 0
@@ -88,14 +109,14 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=-5)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_bad_containment_seed_rejected(self, diamond, seed):
         with pytest.raises(DomainError, match="containment_seed"):
             certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_seed=seed)
 
-    @pytest.mark.parametrize("samples", [2.5, 0.0, 100.0, "100"])
+    @pytest.mark.parametrize("samples", [2.5, 0.0, 100.0, "100", True])
     def test_non_integral_samples_rejected(self, diamond, samples):
-        # 0.0 and 100.0 are rejected too: the report's count is an integer.
+        # 0.0, 100.0 and True are rejected too: the report's count is an integer.
         with pytest.raises(DomainError, match="containment_samples must be an integer"):
             certify(diamond, DIAMOND_OPTIMUM, 0.1, containment_samples=samples)
 
@@ -171,7 +192,7 @@ class TestContainment:
         with pytest.raises(DomainError, match="seed"):
             containment_check(diamond, DIAMOND_OPTIMUM, 100, seed=seed)
 
-    @pytest.mark.parametrize("samples", [2.5, 100.0, "100"])
+    @pytest.mark.parametrize("samples", [2.5, 100.0, "100", True])
     def test_non_integral_samples_rejected(self, diamond, samples):
         with pytest.raises(DomainError, match="samples must be an integer"):
             containment_check(diamond, DIAMOND_OPTIMUM, samples)
@@ -360,7 +381,8 @@ class TestOracle:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tol": 0.0}, {"tol": 1.0}, {"tol": -0.5}, {"max_iters": 0}],
+        [{"tol": 0.0}, {"tol": 1.0}, {"tol": -0.5}, {"max_iters": 0},
+         {"tol": None}, {"tol": "1e-6"}, {"max_iters": True}],
     )
     def test_bad_arguments(self, diamond, kwargs):
         with pytest.raises(DomainError):

@@ -257,19 +257,23 @@ class TestFailureModes:
         assert "--seed" in payload["message"]
 
 
-class TestThreadCap:
-    def test_cap_accepted(self):
-        result = run_cli("solve", "--gen", "identity-cube:3", env_extra={"JOHN_THREADS": "1"})
-        assert result.returncode == 0
-        assert result.stderr == ""
-
-    def test_bogus_cap_warns_but_runs(self):
-        result = run_cli(
-            "solve", "--gen", "identity-cube:3", env_extra={"JOHN_THREADS": "lots"}
+class TestLazyImports:
+    def test_help_loads_no_numerical_stack(self):
+        # The reason the package root and cli import lazily: --help and
+        # argparse's usage errors answer without loading numpy or scipy.
+        code = (
+            "import sys\n"
+            "import johnellip.cli\n"
+            "try:\n"
+            "    johnellip.cli.main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
         )
-        assert result.returncode == 0
-        assert "ignoring non-integer JOHN_THREADS" in result.stderr
-        assert json.loads(result.stdout)["certified"] is True
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "usage: johnellip" in result.stdout
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestProgrammaticRun:
@@ -293,6 +297,38 @@ class TestProgrammaticRun:
         assert run(request) == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload == {"error": "DomainError", "message": "--seed must be >= 0, got -1"}
+
+    @pytest.mark.parametrize(
+        "command,fields,message",
+        [
+            ("oracle", {"tol": 2.0}, "--tol must lie in (0, 1), got 2.0"),
+            ("oracle", {"max_iters": 0}, "--max-iters must be >= 1, got 0"),
+            ("solve", {"iterations": 0}, "--iters must be >= 1, got 0"),
+            ("solve-sketched", {"iterations": 0}, "--iters must be >= 1, got 0"),
+            ("solve-sketched", {"sketch_rows": 0}, "--sketch-rows must be >= 1, got 0"),
+            ("solve", {"fmt": "yaml"}, "unknown report format 'yaml'"),
+        ],
+        ids=["tol", "max-iters", "iters", "sketched-iters", "sketch-rows", "format"],
+    )
+    def test_bad_flag_rejected_before_any_work(
+        self, capsys, monkeypatch, command, fields, message
+    ):
+        def never(request):
+            raise AssertionError("the instance was loaded for a request with a bad flag")
+
+        monkeypatch.setattr(johnellip._driver, "_load_instance", never)
+        request = RunRequest(command=command, generator="gaussian-dense:40x4:seed=1", **fields)
+        assert run(request) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "DomainError", "message": message}
+
+    def test_missing_out_directory_is_exit_3(self, capsys, tmp_path):
+        out = tmp_path / "absent" / "r.json"
+        request = RunRequest(command="solve", generator="identity-cube:3", out_path=str(out))
+        assert run(request) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "FileNotFoundError"
 
     @pytest.mark.parametrize("command", ["bench", "nope"])
     def test_unknown_command_rejected(self, capsys, command):

@@ -56,9 +56,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             FixedPointConfig(epsilon=eps)
 
+    @pytest.mark.parametrize("eps", ["0.1", None, True, np.array([0.1])])
+    def test_non_real_epsilon(self, eps):
+        # A DomainError, not a TypeError from the comparison.
+        with pytest.raises(DomainError, match="epsilon must be a real number"):
+            FixedPointConfig(epsilon=eps)
+
     def test_bad_iterations(self):
         with pytest.raises(DomainError):
             FixedPointConfig(epsilon=0.1, iterations=0)
+
+    def test_bool_iterations_rejected(self):
+        with pytest.raises(DomainError, match="iterations must be an integer"):
+            FixedPointConfig(epsilon=0.1, iterations=True)
 
     def test_resolution(self):
         assert FixedPointConfig(epsilon=0.1).resolve_iterations(200, 10) == 60

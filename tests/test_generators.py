@@ -1,5 +1,6 @@
 """Instance generators and the CLI spec grammar."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -124,11 +125,31 @@ class TestSpecValidation:
             {"family": "sparse-bernoulli", "m": 10, "n": 2, "density": 1.5},
             {"family": "scaled-cube", "m": 3, "n": 3, "scale": 0.0},
             {"family": "gaussian-dense", "m": 4, "n": 2, "seed": -1},
+            {"family": "gaussian-dense", "m": "60", "n": 3},
+            {"family": "scaled-cube", "m": 3, "n": 3, "scale": math.inf},
+            {"family": "scaled-cube", "m": 3, "n": 3, "scale": math.nan},
+            {"family": "scaled-cube", "m": 3, "n": 3, "scale": "2"},
+            {"family": "sparse-bernoulli", "m": 10, "n": 2, "density": "0.5"},
         ],
     )
     def test_rejected(self, kwargs):
+        # At construction, not later as a TypeError or a non-finite matrix
+        # inside generate.
         with pytest.raises(DomainError):
             GeneratorSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"m": 4, "n": 0}, "need m >= n >= 1, got m=4, n=0"),
+            ({"m": 60.5, "n": 3}, "m must be an integer, got 60.5"),
+            ({"m": 4, "n": True}, "n must be an integer, got True"),
+        ],
+    )
+    def test_shape_messages(self, kwargs, message):
+        with pytest.raises(DomainError) as info:
+            GeneratorSpec("gaussian-dense", **kwargs)
+        assert str(info.value) == message
 
     def test_fractional_seed_rejected_at_construction(self):
         # Not later, as numpy's TypeError from default_rng inside generate.

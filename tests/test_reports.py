@@ -13,7 +13,6 @@ from johnellip import (
     fixed_point_solve,
     render_report_json,
     render_trace_csv,
-    write_report,
 )
 from johnellip.fixed_point import SolveTrace
 
@@ -94,30 +93,3 @@ class TestCsv:
         # every recorded max score round-trips through the text
         for line, sigma in zip(lines[1:], trace.max_sigma):
             assert float(line.split(",")[1]) == sigma
-
-
-class TestWriteReport:
-    def test_json_file(self, tmp_path):
-        path = tmp_path / "report.json"
-        write_report(sample_fields(), None, path, "json")
-        assert json.loads(path.read_text()) == sample_fields()
-
-    def test_csv_file(self, tmp_path):
-        trace = SolveTrace()
-        trace.add(1, 1.5, 2.0, 0.25)
-        path = tmp_path / "trace.csv"
-        write_report(sample_fields(), trace, path, "csv")
-        assert path.read_text() == "iter,max_sigma,weight_sum,wall_ms\n1,1.5,2,0.25\n"
-
-    def test_csv_without_trace_writes_header(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_report(sample_fields(), None, path, "csv")
-        assert path.read_text() == TRACE_HEADER + "\n"
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format"):
-            write_report(sample_fields(), None, tmp_path / "x", "yaml")
-
-    def test_missing_directory(self, tmp_path):
-        with pytest.raises(OSError):
-            write_report(sample_fields(), None, tmp_path / "absent" / "r.json", "json")

@@ -76,6 +76,9 @@ class TestConfig:
             {"epsilon": 0.5, "delta": 0.1, "seed": 1.5},
             {"epsilon": 0.5, "delta": 0.1, "sketch_rows": 0},
             {"epsilon": 0.5, "delta": 0.1, "iterations": 0},
+            {"epsilon": 0.5, "delta": None},
+            {"epsilon": "0.5", "delta": 0.1},
+            {"epsilon": 0.5, "delta": 0.1, "sketch_rows": True},
         ],
     )
     def test_bad_config(self, kwargs):
