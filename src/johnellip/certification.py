@@ -239,8 +239,8 @@ class OracleSolution:
     """Reference weights from the greedy ascent.
 
     ``support_deviation`` is ``max |sigma_i - 1|`` over rows whose weight
-    exceeds ``support_threshold``; at an exact optimum it is zero.
-    ``history`` holds per-step logdet values when requested, else None.
+    exceeds ``SUPPORT_THRESHOLD``; at an exact optimum it is zero.
+    ``logdet`` is that of ``Q`` at the returned weights.
     """
 
     weights: np.ndarray
@@ -248,14 +248,6 @@ class OracleSolution:
     max_sigma: float
     support_deviation: float
     logdet: float
-    support_threshold: float = SUPPORT_THRESHOLD
-    history: list[float] | None = None
-
-
-def _exact_state(inst: PolytopeInstance, w: np.ndarray):
-    # A writable copy of Q^{-1}, which the oracle updates in place.
-    quad, sigma = _graded(inst, w)
-    return quad.inverse.copy(), sigma, quad.logdet
 
 
 def _step_gain(n: int, tau: float, d: float) -> float:
@@ -277,11 +269,7 @@ def _is_flat(w: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
 
 
 def oracle_solve(
-    inst: PolytopeInstance,
-    tol: float = 1e-6,
-    max_iters: int = 200_000,
-    *,
-    record_history: bool = False,
+    inst: PolytopeInstance, tol: float = 1e-6, max_iters: int = 200_000
 ) -> OracleSolution:
     """Greedy single-coordinate ascent to reference weights.
 
@@ -291,9 +279,12 @@ def oracle_solve(
     the worst supported row when that gains more, clamping away steps at the
     bound so weights can reach exactly zero.  Stops once an exactly
     recomputed score vector is flat: ``max sigma <= 1 + tol`` and
-    ``sigma >= 1 - tol`` on every supported row.  The score vector and Gram
-    inverse are updated rank-one per step and refreshed from a fresh
-    factorization every few hundred steps.
+    ``sigma >= 1 - tol`` on every supported row (weight above
+    ``SUPPORT_THRESHOLD``).  The score vector and Gram inverse are updated
+    rank-one per step; they are recomputed from a fresh factorization at the
+    top of the loop whenever they are stale: every few hundred steps, before
+    a flat or final state is trusted, after the ``n == 1`` jump to a vertex
+    and after a rank-one update whose pivot drifted.
 
     Raises :class:`NoConvergenceError` when ``max_iters`` steps were not
     enough.
@@ -303,21 +294,22 @@ def oracle_solve(
 
     m, n = inst.m, inst.n
     w = np.full(m, n / m)
-    inv, sigma, logdet = _exact_state(inst, w)
-    fresh = True
-    history: list[float] | None = [logdet] if record_history else None
-
+    stale = True
     steps = 0
     while True:
-        if _is_flat(w, sigma, tol):
-            if fresh:
-                break
-            inv, sigma, logdet = _exact_state(inst, w)
-            fresh = True
-            continue
-        if steps >= max_iters:
-            inv, sigma, logdet = _exact_state(inst, w)
-            if _is_flat(w, sigma, tol):
+        fresh = stale
+        if stale:
+            # The one exact state: scores and a writable copy of Q^{-1},
+            # which the steps below update in place.
+            quad, sigma = _graded(inst, w)
+            inv = quad.inverse.copy()
+            stale = False
+        flat = _is_flat(w, sigma, tol)
+        if flat or steps >= max_iters:
+            if not fresh:
+                stale = True
+                continue
+            if flat:
                 break
             raise NoConvergenceError(max_iters, float(sigma.max()))
         steps += 1
@@ -346,10 +338,7 @@ def oracle_solve(
             # n == 1 only: the exact step jumps to the vertex outright.
             w = np.zeros(m)
             w[j] = float(n)
-            inv, sigma, logdet = _exact_state(inst, w)
-            fresh = True
-            if record_history:
-                history.append(logdet)
+            stale = True
             continue
 
         a_j = inst.row_dense(j)
@@ -360,8 +349,7 @@ def oracle_solve(
         if not math.isfinite(den) or den <= 0.0:
             # Rank-one drift produced an unusable pivot: retry from exact data.
             steps -= 1
-            inv, sigma, logdet = _exact_state(inst, w)
-            fresh = True
+            stale = True
             continue
         factor = beta / den
         # In place, in the order of (inv - factor c c^T) / (1 - tau) and
@@ -374,19 +362,11 @@ def oracle_solve(
         drop *= p
         sigma -= drop
         sigma /= 1.0 - tau
-        logdet += n * math.log1p(-tau) + math.log(den)
         w *= 1.0 - tau
         w[j] += tau * n
         if tau < 0.0 and w[j] < 1e-15:
             w[j] = 0.0
-        fresh = False
-
-        if record_history:
-            quad = cholesky_of_weighted_gram(inst, w)
-            history.append(quad.logdet)
-        if steps % _REFRESH_EVERY == 0:
-            inv, sigma, logdet = _exact_state(inst, w)
-            fresh = True
+        stale = steps % _REFRESH_EVERY == 0
 
     w = w * (n / w.sum())
     quad, sigma = _graded(inst, w)
@@ -398,7 +378,6 @@ def oracle_solve(
         max_sigma=float(sigma.max()),
         support_deviation=deviation,
         logdet=quad.logdet,
-        history=history,
     )
 
 

@@ -22,9 +22,10 @@ with a small dense matrix goes through one streamed pass,
 image norms, via :func:`_row_norms`) or per column (containment sampling in
 ``certification``), so how ``A`` is stored matters to this module alone.
 Every pass over ``A`` shares one scratch budget, ``_BLOCK_ELEMENTS`` (about
-1 MiB): that pass, the dense Gram, the dense zero-row check and the build of
-``P`` each take row blocks sized from it, so none allocates an ``m x n``,
-``m x s`` or ``m x samples`` array.
+1 MiB): that pass, the dense Gram and the build of ``P`` each take row
+blocks sized from it, so none allocates an ``m x n``, ``m x s`` or
+``m x samples`` array.  The dense zero-row check needs no blocks: it is one
+``np.any`` reduction, which allocates only its ``m`` results.
 Every dense BLAS and LAPACK call of the solvers and the verification layer
 goes through numpy; scipy's LAPACK is used once per instance, for the rank
 check when an instance is built (:func:`build_instance`, :func:`_adopt`).
@@ -194,8 +195,8 @@ def _adopt(a) -> PolytopeInstance:
     of ``A`` for non-finite entries: each diagonal entry is a sum of squares
     of one column, so a finite Gram means every entry is finite, and ``A`` is
     scanned only when the Gram is not.  Dense ``A`` is checked for zero rows
-    in row blocks (:func:`_block_rows`), so validation allocates no ``m x n``
-    mask.  Errors and their order are those documented on
+    by one ``np.any(a, axis=1)``, which reads ``-0.0`` as zero and allocates
+    no ``m x n`` mask.  Errors and their order are those documented on
     :func:`build_instance`.
     """
     if sp.issparse(a):
@@ -222,14 +223,10 @@ def _adopt(a) -> PolytopeInstance:
 
     if sp.issparse(a):
         zero = np.flatnonzero(np.diff(a.indptr) == 0)
-        if zero.size:
-            raise ZeroRowError(int(zero[0]))
     else:
-        step = _block_rows(rows, cols)
-        for start in range(0, rows, step):
-            zero = np.flatnonzero(~np.any(a[start : start + step] != 0.0, axis=1))
-            if zero.size:
-                raise ZeroRowError(start + int(zero[0]))
+        zero = np.flatnonzero(~np.any(a, axis=1))
+    if zero.size:
+        raise ZeroRowError(int(zero[0]))
 
     if not (finite and np.diag(gram).min() >= np.finfo(float).tiny):
         _reject_unrepresentable_columns(a, gram)
@@ -270,7 +267,7 @@ def _reject_unrepresentable_columns(a, g: np.ndarray) -> None:
     if sp.issparse(a):
         nonzero = np.bincount(a.indices, minlength=a.shape[1]) > 0
     else:
-        nonzero = np.any(a != 0.0, axis=0)
+        nonzero = np.any(a, axis=0)
     overflow = ~np.all(np.isfinite(g), axis=0)
     tiny = np.finfo(float).tiny
     bad = np.flatnonzero(nonzero & (overflow | (np.diag(g) < tiny)))
@@ -285,11 +282,19 @@ def _reject_unrepresentable_columns(a, g: np.ndarray) -> None:
 
 
 def validate_weights(w, m: int) -> np.ndarray:
-    """Return ``w`` as a float64 array of shape (m,), rejecting bad values."""
+    """Return ``w`` as a float64 array of shape (m,), rejecting bad values.
+
+    As for scalar parameters, only integers and floats are numbers here:
+    strings and booleans are rejected, not converted.  Float64 input is
+    returned as it is, without a copy.
+    """
     try:
-        arr = np.asarray(w, dtype=np.float64)
+        arr = np.asarray(w)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"weight vector is not a flat numeric array: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"weight vector must hold integers or floats, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.shape != (m,):
         raise DomainError(f"weight vector must have shape ({m},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -79,9 +79,9 @@ def render_trace_csv(trace: SolveTrace) -> str:
 
 
 def _render(fields: dict, trace: SolveTrace | None, fmt: str) -> str:
-    # The one place that maps a report format to text.
-    if fmt == "json":
-        return render_report_json(fields)
+    # The one place that maps a report format to text.  Its one caller runs
+    # after _driver._validate has rejected every format but json and csv, so
+    # anything other than csv is json.
     if fmt == "csv":
         return render_trace_csv(trace if trace is not None else SolveTrace())
-    raise ValueError(f"unknown report format {fmt!r} (json or csv)")
+    return render_report_json(fields)

@@ -239,7 +239,11 @@ class TestFailureModes:
         assert "bench" not in result.stdout
         assert run_cli("bench").returncode == 2
 
-    @pytest.mark.parametrize("text", ['{"a": 1}', '["a", 1, 1, 1]'])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": 1}', '["a", 1, 1, 1]', '["1", "1", "1", "1"]', "[true, true, true, true]",
+         '["1", 0.5, 0.5, 1]'],
+    )
     def test_malformed_weights_file_is_exit_2(self, tmp_path, text):
         weights = tmp_path / "w.json"
         weights.write_text(text)

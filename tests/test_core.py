@@ -113,10 +113,14 @@ class TestBuildInstance:
         with pytest.raises(ZeroRowError) as excinfo:
             build_instance([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         assert excinfo.value.row == 1
+        with pytest.raises(ZeroRowError) as excinfo:
+            build_instance([[1.0, 0.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 0.0]])
+        assert excinfo.value.row == 2
 
     def test_zero_rows_found_across_row_blocks(self):
-        # The dense check reads A in blocks of 2^17 // n rows; the first zero
-        # row is named by its index in A, in whichever block it lies.
+        # Zero rows on both sides of the 2^17 // n row boundary of the
+        # streamed passes' blocks: the check reduces all of A at once and
+        # names the first zero row by its index in A.
         n = 4
         rows = core._BLOCK_ELEMENTS // n
         matrix = np.random.default_rng(3).standard_normal((2 * rows + 5, n))
@@ -191,10 +195,15 @@ class TestValidateWeights:
         w = validate_weights([1, 2, 3], 3)
         assert w.dtype == np.float64 and w.shape == (3,)
 
+    def test_float64_input_is_not_copied(self):
+        w = np.ones(3)
+        assert validate_weights(w, 3) is w
+
     @pytest.mark.parametrize(
         "bad",
         [[1.0, 2.0], [1.0, -0.5, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
-         {"a": 1}, ["a", 1, 1], [[1.0], [1.0, 1.0]]],
+         {"a": 1}, ["a", 1, 1], [[1.0], [1.0, 1.0]],
+         ["1", "0.5", "1"], [True, True, True], np.ones(3, dtype=bool), ["1", 0.5, 1]],
     )
     def test_bad_weights_rejected(self, bad):
         with pytest.raises(DomainError):

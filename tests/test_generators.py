@@ -75,8 +75,8 @@ class TestRandomFamilies:
 
     def test_drawn_matrix_becomes_the_instance(self):
         # The draw is validated and locked in place: one m x n array, plus
-        # the zero-row check's mask of one row block (1.02x measured).
-        # Copying the draw would peak above 2x, an m x n mask at 1.13x.
+        # the zero-row check's m results (1.015x measured).  Copying the
+        # draw would peak above 2x, an m x n mask at 1.13x.
         tracemalloc.start()
         try:
             inst = generate(GeneratorSpec("gaussian-dense", m=20000, n=50, seed=0))
