@@ -8,12 +8,12 @@ import time
 
 from .certification import certify, oracle_solve
 from .cli import RunRequest
-from .core import PolytopeInstance, validate_weights
+from .core import PolytopeInstance
 from .errors import DomainError, JohnEllipsoidError, check_count, check_unit_interval
-from .fixed_point import FixedPointConfig, fixed_point_solve
+from .fixed_point import FixedPointConfig, SolveTrace, fixed_point_solve
 from .generators import generate, parse_generator_spec
 from .mmio import read_matrix_market, write_matrix_market
-from .reports import _render
+from .reports import render_report_json, render_trace_csv
 from .sketched import SketchConfig, sketched_solve
 
 __all__ = ["run"]
@@ -81,14 +81,19 @@ def _emit(request: RunRequest, text: str) -> None:
 
 
 def _weights(request: RunRequest, inst: PolytopeInstance):
-    """The command's weights as (weights, trace, iterations, target, algorithm)."""
+    """The command's weights as (weights, trace, iterations, target, algorithm).
+
+    A ``verify`` file's weights are returned as parsed: ``certify`` is the
+    one place that validates them.  ``verify`` and ``oracle`` have no trace,
+    so theirs is empty.
+    """
     if request.command == "verify":
         with open(request.weights_path, "r", encoding="ascii") as handle:
-            weights = validate_weights(json.load(handle), inst.m)
-        return weights, None, 0, request.epsilon, "verify"
+            weights = json.load(handle)
+        return weights, SolveTrace(), 0, request.epsilon, "verify"
     if request.command == "oracle":
         solution = oracle_solve(inst, request.tol, request.max_iters)
-        return solution.weights, None, solution.iterations, request.tol, "oracle"
+        return solution.weights, SolveTrace(), solution.iterations, request.tol, "oracle"
     eps = request.epsilon / inst.n if request.volume_mode else request.epsilon
     record = request.fmt == "csv"
     if request.command == "solve":
@@ -151,7 +156,8 @@ def _run_graded(request: RunRequest) -> int:
         "algorithm": algorithm,
         "certified": report.passed,
     }
-    _emit(request, _render(fields, trace, request.fmt))
+    # _validate lets only json and csv through.
+    _emit(request, render_trace_csv(trace) if request.fmt == "csv" else render_report_json(fields))
     if not (report.containment_inner_pass and report.containment_outer_pass):
         print(
             f"containment: {report.containment_inner_violations} inner and "

@@ -105,7 +105,19 @@ def certify(
 ) -> CertificateReport:
     """Recompute scores from scratch and grade ``w`` against the target.
 
-    ``containment_samples=0`` skips the sampled containment checks.
+    ``w`` is validated here (:func:`core.validate_weights`).  With
+    ``Q = A^T diag(w) A`` and ``E = {x : x^T Q x <= 1}``, both inclusions
+    are theorems of two fields of the report:
+
+    * inner, by Cauchy-Schwarz, ``|a_i^T x| <= sqrt(sigma_i * x^T Q x)``, so
+      ``E / sqrt(max_sigma)`` lies inside ``P``;
+    * outer, for ``x`` in ``P``,
+      ``x^T Q x = sum_i w_i (a_i^T x)^2 <= weight_sum``, so ``P`` lies inside
+      ``sqrt(weight_sum) E``.
+
+    The sampled containment checks test them numerically, which checks that
+    the factor agrees with ``A`` and ``w``; ``containment_samples=0`` skips
+    them.
     """
     check_real("target_epsilon", target_epsilon)
     if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):

@@ -21,10 +21,11 @@ with a small dense matrix goes through one streamed pass,
 :func:`_row_products`, reduced per row (the scores, the sketched sweep's
 image norms, via :func:`_row_norms`) or per column (containment sampling in
 ``certification``), so how ``A`` is stored matters to this module alone.
-Every pass over ``A`` shares one scratch budget, ``_BLOCK_ELEMENTS`` (about
-1 MiB): that pass, the dense Gram and the build of ``P`` each take row
-blocks sized from it, so none allocates an ``m x n``, ``m x s`` or
-``m x samples`` array.  The dense zero-row check needs no blocks: it is one
+:func:`_row_blocks` is the one place ``A`` is cut into row blocks; that pass
+and the dense Gram walk it.  Every pass over ``A`` shares one scratch budget,
+``_BLOCK_ELEMENTS`` (about 1 MiB): the walker's blocks and the build of
+``P``'s chunks are sized from it, so none allocates an ``m x n``, ``m x s``
+or ``m x samples`` array.  The dense zero-row check needs no blocks: it is one
 ``np.any`` reduction, which allocates only its ``m`` results.
 Every dense BLAS and LAPACK call of the solvers and the verification layer
 goes through numpy; scipy's LAPACK is used once per instance, for the rank
@@ -66,9 +67,10 @@ RANK_PIVOT_RTOL = 1e-10
 GRAM_PIVOT_FLOOR = 1e-14
 # The one scratch budget of every pass over A, in 8-byte elements (1 MiB):
 # a pass over rows of width k (n columns, the sketch size or containment's
-# sample count) takes max(1, _BLOCK_ELEMENTS // k) rows at a time
-# (_block_rows).  A dense sweep timed the same from 2^15 to 2^17 at 50000x50
-# and slightly slower at 2^18; at 20000x200, 2^15 was 27% slower than 2^17.
+# sample count) takes max(1, _BLOCK_ELEMENTS // k) rows at a time, cut by
+# _row_blocks alone.  A dense sweep timed the same from 2^15 to 2^17 at
+# 50000x50 and slightly slower at 2^18; at 20000x200, 2^15 was 27% slower
+# than 2^17.
 _BLOCK_ELEMENTS = 2**17
 # The row-pair operator P is built only when it holds at most this many
 # entries per nonzero of A (rows of about 7 nonzeros on average), so it is
@@ -101,10 +103,14 @@ class PolytopeInstance:
         return sp.issparse(self.matrix)
 
     def row_dense(self, i: int) -> np.ndarray:
-        """Row i as a dense 1-D array."""
+        """Row i as a dense 1-D array; a CSR row is read through ``indptr``."""
+        a = self.matrix
         if self.is_sparse:
-            return self.matrix[[i], :].toarray().ravel()
-        return np.asarray(self.matrix[i])
+            lo, hi = a.indptr[i], a.indptr[i + 1]
+            row = np.zeros(a.shape[1])
+            row[a.indices[lo:hi]] = a.data[lo:hi]
+            return row
+        return np.asarray(a[i])
 
     def toarray(self) -> np.ndarray:
         """Dense copy of the constraint matrix."""
@@ -285,8 +291,10 @@ def validate_weights(w, m: int) -> np.ndarray:
     """Return ``w`` as a float64 array of shape (m,), rejecting bad values.
 
     As for scalar parameters, only integers and floats are numbers here:
-    strings and booleans are rejected, not converted.  Float64 input is
-    returned as it is, without a copy.
+    strings and booleans are rejected, not converted.  numpy promotes a
+    boolean mixed with numbers, so input that is not an ndarray is scanned
+    for booleans as well.  Float64 input is returned as it is, without a
+    copy or a scan.
     """
     try:
         arr = np.asarray(w)
@@ -297,6 +305,8 @@ def validate_weights(w, m: int) -> np.ndarray:
     arr = arr.astype(np.float64, copy=False)
     if arr.shape != (m,):
         raise DomainError(f"weight vector must have shape ({m},), got {arr.shape}")
+    if not isinstance(w, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in w):
+        raise DomainError("weight vector must hold integers or floats, got a boolean")
     if not np.all(np.isfinite(arr)):
         raise DomainError("weight vector has non-finite entries")
     if np.any(arr < 0.0):
@@ -351,42 +361,46 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
     return pairs
 
 
-def _block_rows(m: int, width: int) -> int:
-    """Rows per block of a streamed pass over the m rows of A whose scratch
-    holds ``width`` elements per row: ``max(1, _BLOCK_ELEMENTS // width)``.
+def _row_blocks(inst: PolytopeInstance, width: int):
+    """Yield ``(start, block, out)`` over the row blocks of ``A``: the one
+    place ``A`` is cut into rows.
 
-    Scratch blocks are allocated per call, never cached, so instances stay
-    safe to share across threads.
-    """
-    return min(m, max(1, _BLOCK_ELEMENTS // width))
-
-
-def _row_products(inst: PolytopeInstance, right: np.ndarray):
-    """Yield ``(start, A[start:stop] @ right)`` over the row blocks of ``A``.
-
-    The one streamed pass behind the scores, the sketched sweep and
-    containment: blocks take ``_block_rows(m, k)`` rows for a ``right`` of
-    k columns, so each product fits the scratch budget.  Dense products are
-    written into one reused scratch block, so a caller must finish with a
-    block (it may overwrite it) before asking for the next.  A CSR block
-    shares ``A``'s data and indices and gets its own shifted ``indptr``;
-    scipy's row slicing copies all three, which at containment's
-    1000-sample blocks of 131 rows costs a tenth of the pass.
+    A block takes ``max(1, _BLOCK_ELEMENTS // width)`` rows, so a product or
+    copy of ``width`` elements per row fits the scratch budget.  A dense
+    block is a view of ``A`` and ``out`` the matching rows of one scratch
+    block of that size, reused across the pass, so a caller must finish with
+    a block before asking for the next.  A CSR block shares ``A``'s data and
+    indices and gets its own shifted ``indptr`` (scipy's row slicing copies
+    all three, which at containment's 1000-sample blocks of 131 rows costs a
+    tenth of the pass), and ``out`` is None.  Scratch is allocated per pass,
+    never cached, so instances stay safe to share across threads.
     """
     a, m = inst.matrix, inst.m
-    rows = _block_rows(m, right.shape[1])
-    scratch = None if inst.is_sparse else np.empty((rows, right.shape[1]))
+    rows = min(m, max(1, _BLOCK_ELEMENTS // width))
+    scratch = None if inst.is_sparse else np.empty((rows, width))
     for start in range(0, m, rows):
         stop = min(start + rows, m)
         if scratch is not None:
-            yield start, np.matmul(a[start:stop], right, out=scratch[: stop - start])
+            yield start, a[start:stop], scratch[: stop - start]
         else:
             lo, hi = a.indptr[start], a.indptr[stop]
             block = sp.csr_array(
                 (a.data[lo:hi], a.indices[lo:hi], a.indptr[start : stop + 1] - lo),
                 shape=(stop - start, a.shape[1]),
             )
-            yield start, block @ right
+            yield start, block, None
+
+
+def _row_products(inst: PolytopeInstance, right: np.ndarray):
+    """Yield ``(start, A[start:stop] @ right)`` over :func:`_row_blocks`.
+
+    The one streamed pass behind the scores, the sketched sweep and
+    containment.  A dense product is written into the walker's reused
+    scratch, so a caller must finish with it (it may overwrite it) before
+    asking for the next.
+    """
+    for start, block, out in _row_blocks(inst, right.shape[1]):
+        yield start, block @ right if out is None else np.matmul(block, right, out=out)
 
 
 def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
@@ -403,11 +417,13 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
 
     CSR with sparse rows forms the upper triangle as ``P^T w`` from the
     instance's row-pair operator (O(sum_i nnz_i^2)) and mirrors it.  Dense
-    input streams ``A`` through one scratch block of ``_BLOCK_ELEMENTS``
-    entries: each row block of ``B = sqrt(W) A`` is written there and its
-    ``B_blk^T B_blk`` (a syrk) added to ``Q``, so no ``m x n`` copy of ``A``
-    is made (O(m n^2)).  Other CSR input is assembled as a sparse ``B^T B``
-    (O(nnz n)).  ``Q`` is symmetrized, so it is exactly symmetric.
+    input walks the row blocks of :func:`_row_blocks`: each block of
+    ``B = sqrt(W) A`` is written into the walker's one scratch block and its
+    ``B_blk^T B_blk`` (a syrk, which numpy mirrors from one triangle) added
+    to ``Q``, so no ``m x n`` copy of ``A`` is made (O(m n^2)).  Other CSR
+    input is assembled as a sparse ``B^T B`` (O(nnz n)), the one product
+    that can come out asymmetric, so that branch alone is symmetrized.
+    ``Q`` is exactly symmetric on every branch.
 
     Raises :class:`NotPositiveDefiniteError` when the factorization fails or
     a pivot of ``Q`` scaled to unit diagonal, ``L_kk^2 / Q_kk``, falls at or
@@ -423,17 +439,12 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
         if inst.is_sparse:
             b = inst.matrix.multiply(root[:, None]).tocsr()
             q = (b.T @ b).toarray()
+            q = 0.5 * (q + q.T)  # scipy's sparse product need not be symmetric
         else:
-            rows = _block_rows(inst.m, inst.n)
-            scratch = np.empty((rows, inst.n))
             q = np.zeros((inst.n, inst.n))
-            for start in range(0, inst.m, rows):
-                block = inst.matrix[start : start + rows]
-                b = np.multiply(
-                    block, root[start : start + rows, None], out=scratch[: block.shape[0]]
-                )
-                q += b.T @ b  # a syrk: numpy spots the transposed pair
-        q = 0.5 * (q + q.T)
+            for start, block, out in _row_blocks(inst, inst.n):
+                b = np.multiply(block, root[start : start + block.shape[0], None], out=out)
+                q += b.T @ b  # a syrk: numpy mirrors one triangle, so q stays symmetric
 
     try:
         lower = np.linalg.cholesky(q)

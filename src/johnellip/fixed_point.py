@@ -84,12 +84,13 @@ class SolveTrace:
         return len(self.iterations)
 
 
-def _average_iterates(inst: PolytopeInstance, total: int, step, exact, record: bool):
+def _average_iterates(inst: PolytopeInstance, total: int, step, record: bool):
     """Average ``w^(0..T-1)`` from the uniform start; return (average, trace).
 
     ``step(w)`` returns ``w^(k+1)`` and the exact scores of ``w^(k)`` when it
-    computed them (else None); only ``step`` is timed.  ``exact(w)`` supplies
-    the scores that exist only for the trace, and the final row times it.
+    computed them (else None); only ``step`` is timed.  Scores that exist
+    only for the trace come from :func:`leverage_scores`, and the final row
+    times that evaluation.
     """
     trace = SolveTrace()
     w = np.full(inst.m, inst.n / inst.m)
@@ -99,13 +100,13 @@ def _average_iterates(inst: PolytopeInstance, total: int, step, exact, record: b
         w_next, sigma = step(w)
         elapsed = (time.perf_counter() - start) * 1e3
         if record:
-            sigma = exact(w) if sigma is None else sigma
+            sigma = leverage_scores(inst, w) if sigma is None else sigma
             trace.add(k, float(sigma.max()), float(w.sum()), elapsed)
         w = w_next
         accum += w
     if record:
         start = time.perf_counter()
-        sigma = exact(w)
+        sigma = leverage_scores(inst, w)
         trace.add(total, float(sigma.max()), float(w.sum()),
                   (time.perf_counter() - start) * 1e3)
     return accum / total, trace
@@ -124,6 +125,4 @@ def fixed_point_solve(
         return w * sigma, sigma
 
     total = config.resolve_iterations(inst.m, inst.n)
-    return _average_iterates(
-        inst, total, step, lambda w: leverage_scores(inst, w), config.record_history
-    )
+    return _average_iterates(inst, total, step, config.record_history)

@@ -77,11 +77,3 @@ def render_trace_csv(trace: SolveTrace) -> str:
         lines.append(f"{k},{sigma:.17g},{total:.17g},{wall:.17g}")
     return "\n".join(lines) + "\n"
 
-
-def _render(fields: dict, trace: SolveTrace | None, fmt: str) -> str:
-    # The one place that maps a report format to text.  Its one caller runs
-    # after _driver._validate has rejected every format but json and csv, so
-    # anything other than csv is json.
-    if fmt == "csv":
-        return render_trace_csv(trace if trace is not None else SolveTrace())
-    return render_report_json(fields)

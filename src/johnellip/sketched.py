@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolytopeInstance, _row_norms, cholesky_of_weighted_gram, leverage_scores
+from .core import PolytopeInstance, _row_norms, cholesky_of_weighted_gram
 from .errors import check_count, check_unit_interval
 from .fixed_point import SolveTrace, _average_iterates
 
@@ -135,7 +135,6 @@ def sketched_solve(
         inst,
         config.resolve_iterations(inst.m),
         lambda w: (_sketch_step(inst, w, rows, rng, sketch), None),
-        lambda w: leverage_scores(inst, w),
         config.record_history,
     )
     return averaged * (inst.n / averaged.sum()), trace

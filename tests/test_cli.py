@@ -242,7 +242,7 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "text",
         ['{"a": 1}', '["a", 1, 1, 1]', '["1", "1", "1", "1"]', "[true, true, true, true]",
-         '["1", 0.5, 0.5, 1]'],
+         '["1", 0.5, 0.5, 1]', "[1, true, 0.5, 1]"],
     )
     def test_malformed_weights_file_is_exit_2(self, tmp_path, text):
         weights = tmp_path / "w.json"
@@ -311,8 +311,12 @@ class TestProgrammaticRun:
             ("solve-sketched", {"iterations": 0}, "--iters must be >= 1, got 0"),
             ("solve-sketched", {"sketch_rows": 0}, "--sketch-rows must be >= 1, got 0"),
             ("solve", {"fmt": "yaml"}, "unknown report format 'yaml'"),
+            ("solve", {"input_path": "a.mtx"}, "exactly one of --input and --gen is required"),
+            ("verify", {}, "verify requires --weights"),
+            ("gen", {}, "gen requires --out"),
         ],
-        ids=["tol", "max-iters", "iters", "sketched-iters", "sketch-rows", "format"],
+        ids=["tol", "max-iters", "iters", "sketched-iters", "sketch-rows", "format",
+             "two-sources", "verify-weights", "gen-out"],
     )
     def test_bad_flag_rejected_before_any_work(
         self, capsys, monkeypatch, command, fields, message

@@ -203,7 +203,8 @@ class TestValidateWeights:
         "bad",
         [[1.0, 2.0], [1.0, -0.5, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
          {"a": 1}, ["a", 1, 1], [[1.0], [1.0, 1.0]],
-         ["1", "0.5", "1"], [True, True, True], np.ones(3, dtype=bool), ["1", 0.5, 1]],
+         ["1", "0.5", "1"], [True, True, True], np.ones(3, dtype=bool), ["1", 0.5, 1],
+         [True, 0.5, 1]],
     )
     def test_bad_weights_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -503,6 +504,14 @@ class TestPairOperator:
     def test_gram_is_exactly_symmetric(self):
         inst = build_instance(sp.csr_array(_sparse_rows(400, 9, 0.7, seed=2)))
         assert inst._pairs is not None
+        quad = cholesky_of_weighted_gram(inst, np.random.default_rng(3).uniform(0.1, 2.0, 400))
+        assert np.array_equal(quad.Q, quad.Q.T)
+
+    def test_gram_above_the_cut_is_exactly_symmetric(self):
+        # Rows too dense for P: the Gram is scipy's sparse b.T @ b, the one
+        # branch that is symmetrized.
+        inst = build_instance(sp.csr_array(_sparse_rows(400, 30, 0.3, seed=2)))
+        assert inst._pairs is None
         quad = cholesky_of_weighted_gram(inst, np.random.default_rng(3).uniform(0.1, 2.0, 400))
         assert np.array_equal(quad.Q, quad.Q.T)
 

@@ -1,5 +1,6 @@
 """The averaged fixed-point solver."""
 
+import json
 import math
 
 import numpy as np
@@ -7,15 +8,19 @@ import pytest
 
 from conftest import DIAMOND_ROWS, gaussian, reference_scores
 from johnellip import (
+    TRACE_HEADER,
     DomainError,
     FixedPointConfig,
     GeneratorSpec,
+    RunRequest,
     build_instance,
     certify,
     default_iterations,
     fixed_point_solve,
     generate,
     leverage_scores,
+    parse_generator_spec,
+    run,
 )
 from johnellip import core
 
@@ -207,3 +212,52 @@ class TestTrace:
             assert trace.max_sigma[k] == sigma.max()
             assert trace.weight_sum[k] == w.sum()
             w = w * sigma
+
+
+class TestDeadRows:
+    """Weights that underflow: at 400 sweeps, the last iterate of this
+    instance has 33 weights that are exactly 0 and 7 subnormal ones."""
+
+    SPEC = "gaussian-dense:200x5:seed=1"
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        return generate(parse_generator_spec(self.SPEC))
+
+    @pytest.fixture(scope="class")
+    def last(self, inst):
+        w = np.full(inst.m, inst.n / inst.m)
+        for _ in range(399):
+            w = w * leverage_scores(inst, w)
+        return w
+
+    def test_last_iterate_has_dead_and_subnormal_weights(self, last):
+        assert np.count_nonzero(last == 0.0) == 33
+        assert np.count_nonzero((last > 0.0) & (last < np.finfo(float).tiny)) == 7
+
+    def test_average_certifies(self, inst):
+        w, _ = fixed_point_solve(inst, FixedPointConfig(epsilon=0.1, iterations=400))
+        report = certify(inst, w, 0.1)
+        assert report.passed
+        assert report.containment_inner_pass and report.containment_outer_pass
+        assert math.isclose(report.max_sigma, 1.0064449945754321, rel_tol=1e-12)
+
+    def test_csv_trace_is_finite(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        request = RunRequest(
+            command="solve", generator=self.SPEC, iterations=400, fmt="csv", out_path=str(out)
+        )
+        assert run(request) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == TRACE_HEADER and len(rows) == 400
+        assert np.all(np.isfinite(np.array([row.split(",") for row in rows], dtype=float)))
+
+    def test_verify_accepts_the_last_iterate(self, last, tmp_path):
+        weights = tmp_path / "last.json"
+        weights.write_text(json.dumps(last.tolist()))
+        assert json.loads(weights.read_text()) == last.tolist()
+        request = RunRequest(
+            command="verify", generator=self.SPEC, weights_path=str(weights),
+            out_path=str(tmp_path / "report.json"),
+        )
+        assert run(request) == 0

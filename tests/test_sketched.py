@@ -26,7 +26,7 @@ from johnellip import (
     parse_generator_spec,
     sketched_solve,
 )
-from johnellip import sketched
+from johnellip import fixed_point, sketched
 from johnellip.sketched import _sketch_step
 
 
@@ -192,7 +192,7 @@ class TestSolve:
     def test_trace_times_the_sketched_sweep(self, diamond, monkeypatch):
         # Rows 1..T-1 time _sketch_step from w^(k) and nothing else; the
         # final row times the trace-only exact evaluation of w^(T).
-        original_step, original_scores = sketched._sketch_step, sketched.leverage_scores
+        original_step, original_scores = sketched._sketch_step, fixed_point.leverage_scores
 
         def slow_step(*args):
             time.sleep(0.02)
@@ -203,7 +203,7 @@ class TestSolve:
             return original_scores(*args)
 
         monkeypatch.setattr(sketched, "_sketch_step", slow_step)
-        monkeypatch.setattr(sketched, "leverage_scores", slow_scores)
+        monkeypatch.setattr(fixed_point, "leverage_scores", slow_scores)
         config = SketchConfig(epsilon=0.5, delta=0.1, iterations=3, record_history=True)
         _, trace = sketched_solve(diamond, config)
         assert len(trace) == 3
