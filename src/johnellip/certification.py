@@ -17,8 +17,8 @@ import numpy as np
 from .core import (
     EllipsoidQuadratic,
     PolytopeInstance,
+    _graded,
     _row_products,
-    _scores,
     cholesky_of_weighted_gram,
     validate_weights,
 )
@@ -50,12 +50,6 @@ WEIGHT_SUM_RTOL = 1e-6
 CONTAINMENT_SLACK = 1e-9
 
 _REFRESH_EVERY = 256
-
-
-def _graded(inst: PolytopeInstance, w) -> tuple[EllipsoidQuadratic, np.ndarray]:
-    # The one factorization of Q(w) behind every grade of w, and its scores.
-    quad = cholesky_of_weighted_gram(inst, w)
-    return quad, _scores(inst, quad)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,16 @@ verification layer:
   factor, held with ``logdet`` and, formed on first use, ``L^{-1}`` and
   ``Q^{-1}`` in one :class:`EllipsoidQuadratic` per weight vector,
 * the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i`` (leverage scores of row i
-  of ``sqrt(W) A`` divided by ``w_i``).
+  of ``sqrt(W) A`` divided by ``w_i``), read off that one factor by
+  :func:`_graded`, which ``leverage_scores`` and every grade in
+  ``certification`` share.
+
+Each Gram product is exactly symmetric as it comes out (numpy's dense
+``B^T B`` is a syrk, scipy's sparse one sums ``(j, k)`` and ``(k, j)`` in the
+same order, ``P^T w`` fills one triangle that is then mirrored), so none is
+averaged with its transpose, which would overflow once an entry passed half
+the float64 range.  Read-only buffers are locked by :func:`_lock` and sparse
+index widths chosen by :func:`_index_dtype`, here and in ``mmio``.
 
 Dense matrices are stored row-major, sparse ones in CSR.  All arrays are
 float64 and instances are immutable after construction.  ``Q(w)`` is linear
@@ -151,9 +160,18 @@ class EllipsoidQuadratic:
         return _lock(self.inv_l.T @ self.inv_l)
 
 
-def _lock(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
+def _lock(a):
+    """Lock ``a`` read-only, an ndarray's buffer or all three of a sparse
+    array's, and return it."""
+    for buf in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        buf.setflags(write=False)
     return a
+
+
+def _index_dtype(*bounds: int) -> type:
+    """Integer type of sparse indices up to ``bounds``: int32 when every
+    bound is below 2^31, else int64."""
+    return np.int32 if max(bounds) < 2**31 else np.int64
 
 
 def build_instance(entries) -> PolytopeInstance:
@@ -237,18 +255,12 @@ def _adopt(a) -> PolytopeInstance:
     if not (finite and np.diag(gram).min() >= np.finfo(float).tiny):
         _reject_unrepresentable_columns(a, gram)
     _check_full_column_rank(gram)
-
-    if sp.issparse(a):
-        for buf in (a.data, a.indices, a.indptr):
-            buf.setflags(write=False)
-    else:
-        _lock(a)
-    return PolytopeInstance(a)
+    return PolytopeInstance(_lock(a))
 
 
 def _check_full_column_rank(g: np.ndarray) -> None:
     # g is A^T A, finite and with every nonzero column's diagonal normal.
-    g = 0.5 * (g + g.T)
+    # dpstrf reads its lower triangle alone, so g need not be symmetric.
     scale = np.sqrt(np.diag(g))
     scale[scale == 0.0] = 1.0  # an all-zero column stays zero and fails below
     g = g / scale[:, None] / scale[None, :]
@@ -319,7 +331,7 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
 
     Row i holds the products ``a_ij a_ik`` (j <= k) of its own nonzeros at
     column ``j*n + k``, ``nnz_i (nnz_i + 1) / 2`` entries, so a weighted Gram
-    is one sparse mat-vec and so is every score (see ``_scores``).
+    is one sparse mat-vec and so is every score (see :func:`_graded`).
     Returns None when ``P`` would hold more than ``_PAIRS_PER_NONZERO`` entries
     per nonzero of A; such rows stay on the row-block path.
     """
@@ -330,7 +342,7 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
     total = int(indptr[-1])
     if total > _PAIRS_PER_NONZERO * a.nnz:
         return None
-    index = np.int32 if max(total, n * n) < 2**31 else np.int64
+    index = _index_dtype(total, n * n)
     data = np.empty(total)
     cols = np.empty(total, dtype=index)
     # Whole rows holding about `chunk` pairs at a time.  Each pair takes about
@@ -355,10 +367,7 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
         start = stop
     # Stored by column: scipy's CSR mat-vec pays per row, and these rows are
     # short, so both products run about twice as fast from CSC.
-    pairs = sp.csr_array((data, cols, indptr.astype(index)), shape=(m, n * n)).tocsc()
-    for buf in (pairs.data, pairs.indices, pairs.indptr):
-        buf.setflags(write=False)
-    return pairs
+    return _lock(sp.csr_array((data, cols, indptr.astype(index)), shape=(m, n * n)).tocsc())
 
 
 def _row_blocks(inst: PolytopeInstance, width: int):
@@ -421,8 +430,9 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     ``B = sqrt(W) A`` is written into the walker's one scratch block and its
     ``B_blk^T B_blk`` (a syrk, which numpy mirrors from one triangle) added
     to ``Q``, so no ``m x n`` copy of ``A`` is made (O(m n^2)).  Other CSR
-    input is assembled as a sparse ``B^T B`` (O(nnz n)), the one product
-    that can come out asymmetric, so that branch alone is symmetrized.
+    input is assembled as scipy's sparse ``B^T B`` (O(nnz n)), which sums
+    entry ``(j, k)`` and entry ``(k, j)`` over the same rows in the same
+    order; products commute, so it too is symmetric without averaging.
     ``Q`` is exactly symmetric on every branch.
 
     Raises :class:`NotPositiveDefiniteError` when the factorization fails or
@@ -439,7 +449,6 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
         if inst.is_sparse:
             b = inst.matrix.multiply(root[:, None]).tocsr()
             q = (b.T @ b).toarray()
-            q = 0.5 * (q + q.T)  # scipy's sparse product need not be symmetric
         else:
             q = np.zeros((inst.n, inst.n))
             for start, block, out in _row_blocks(inst, inst.n):
@@ -461,8 +470,9 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     return EllipsoidQuadratic(Q=_lock(q), L=_lock(lower), logdet=logdet)
 
 
-def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
-    """Scores ``sigma_i = a_i^T Q^{-1} a_i`` from the factor of ``Q``.
+def _graded(inst: PolytopeInstance, w) -> tuple[EllipsoidQuadratic, np.ndarray]:
+    """The one factorization of ``Q(w)`` behind every grade of ``w``, and the
+    scores ``sigma_i = a_i^T Q^{-1} a_i`` read from it.
 
     CSR with sparse rows reads every score off ``quad.inverse`` as one
     mat-vec ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}`` and its
@@ -473,13 +483,14 @@ def _scores(inst: PolytopeInstance, quad: EllipsoidQuadratic) -> np.ndarray:
     of ``A L^{-T}`` (``quad.inv_l``) from the streamed pass
     :func:`_row_norms`: O(m n^2) dense, O(nnz n) sparse, with no copy of A.
     """
+    quad = cholesky_of_weighted_gram(inst, w)
     pairs = inst._pairs
     if pairs is not None:
         inverse = quad.inverse
         upper = 2.0 * np.triu(inverse, 1) + np.diag(np.diag(inverse))
         sigma = pairs @ upper.ravel()
-        return np.maximum(sigma, 0.0, out=sigma)
-    return _row_norms(inst, np.ascontiguousarray(quad.inv_l.T))
+        return quad, np.maximum(sigma, 0.0, out=sigma)
+    return quad, _row_norms(inst, np.ascontiguousarray(quad.inv_l.T))
 
 
 def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
@@ -488,4 +499,4 @@ def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
     ``w_i * sigma_i(w)`` is the leverage score of row i of ``sqrt(W) A``;
     those products lie in [0, 1] and sum to n for any valid weights.
     """
-    return _scores(inst, cholesky_of_weighted_gram(inst, w))
+    return _graded(inst, w)[1]

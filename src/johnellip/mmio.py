@@ -20,7 +20,7 @@ does not.  So both accept the same files and give bitwise-identical
 matrices, and every error still names its line.
 
 Coordinate indices are read as int32 whenever the size line allows (both
-dimensions below 2^31, see :func:`_index_dtype`), by both parsers, and the
+dimensions below 2^31, by ``core._index_dtype``), by both parsers, and the
 bulk parse shifts them to 0-based in place; the CSR arrays are then int32,
 as ``generators.generate`` makes them.  Reading ``sparse-bernoulli``
 50000x40 at density 0.05 peaks near 50 bytes per stored entry under
@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from .core import PolytopeInstance, _adopt
+from .core import PolytopeInstance, _adopt, _index_dtype
 from .errors import ParseError
 
 __all__ = ["read_matrix_market", "write_matrix_market"]
@@ -74,12 +74,6 @@ def _to_float(token: str, lineno: int, what: str) -> float:
         return float(token)
     except ValueError:
         raise ParseError(f"bad {what} {token!r}", lineno) from None
-
-
-def _index_dtype(m: int, n: int) -> type:
-    """Integer type of a coordinate file's indices: int32 when every 1-based
-    index up to ``m`` and ``n`` fits, else int64."""
-    return np.int32 if max(m, n) < 2**31 else np.int64
 
 
 def _read_preamble(numbered) -> tuple[str, int, int, int, int]:
@@ -213,16 +207,20 @@ def read_matrix_market(path) -> PolytopeInstance:
 
 
 def write_matrix_market(path, inst: PolytopeInstance) -> None:
-    """Write an instance in the matching real general variant."""
+    """Write an instance in the matching real general variant.
+
+    CSR entries are written in storage order, which is row-major with sorted
+    columns: every instance's CSR arrays were canonicalized when it was
+    built (:func:`~johnellip.core._adopt`).
+    """
     with open(path, "w", encoding="ascii") as handle:
         if inst.is_sparse:
             matrix = inst.matrix.tocoo()
-            order = np.lexsort((matrix.col, matrix.row))
             handle.write("%%MatrixMarket matrix coordinate real general\n")
             handle.write(f"{inst.m} {inst.n} {matrix.nnz}\n")
-            rows = (matrix.row[order] + 1).tolist()
-            cols = (matrix.col[order] + 1).tolist()
-            vals = matrix.data[order].tolist()
+            rows = (matrix.row + 1).tolist()
+            cols = (matrix.col + 1).tolist()
+            vals = matrix.data.tolist()
             handle.write("".join([f"{i} {j} {v:.17g}\n" for i, j, v in zip(rows, cols, vals)]))
         else:
             handle.write("%%MatrixMarket matrix array real general\n")

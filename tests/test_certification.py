@@ -30,7 +30,7 @@ from johnellip import (
     sketched_solve,
     volume_ratio,
 )
-from johnellip import certification
+from johnellip import certification, core
 
 
 class TestCertify:
@@ -427,6 +427,9 @@ class TestOneFactorizationPerWeightVector:
             counts["inverses"] += 1
             return inverse(*args)
 
+        # Grades factor through core's binding (core._graded), reference
+        # logdets through certification's.
+        monkeypatch.setattr(core, "cholesky_of_weighted_gram", counting_factor)
         monkeypatch.setattr(certification, "cholesky_of_weighted_gram", counting_factor)
         monkeypatch.setattr(np.linalg, "inv", counting_inverse)
         return counts

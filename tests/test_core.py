@@ -85,6 +85,32 @@ class TestBuildInstance:
                 _instance(np.array(matrix), storage)
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_column_near_the_top_of_gram_range_certifies(self, storage):
+        # The accepted twin of the cases above: column 0's squared norm,
+        # 1.44e308, fits float64 while twice it does not, so no Gram on the
+        # way may be added to its own transpose.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = _instance(np.array([[1.2e154, 0.0], [0.0, 1.0], [1.0, 1.0]]), storage)
+            w, _ = fixed_point_solve(inst, FixedPointConfig(epsilon=0.1))
+            report = certify(inst, w, 0.1)
+        assert report.passed
+        assert report.containment_inner_pass and report.containment_outer_pass
+
+    def test_column_near_the_top_of_gram_range_scores_above_the_pair_cut(self):
+        # Rows of 8 nonzeros are too dense for P, so the CSR Gram is scipy's
+        # sparse b.T @ b; it must score as the dense copy does.
+        matrix = np.random.default_rng(5).standard_normal((60, 8))
+        matrix[:, 0] *= 1.2e154 / np.linalg.norm(matrix[:, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = _instance(matrix, "csr")
+            assert inst._pairs is None
+            sigma = leverage_scores(inst, np.ones(60))
+            expected = leverage_scores(_instance(matrix, "dense"), np.ones(60))
+        assert np.allclose(sigma, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_zero_column_stays_rank_deficient(self, storage):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -508,12 +534,39 @@ class TestPairOperator:
         assert np.array_equal(quad.Q, quad.Q.T)
 
     def test_gram_above_the_cut_is_exactly_symmetric(self):
-        # Rows too dense for P: the Gram is scipy's sparse b.T @ b, the one
-        # branch that is symmetrized.
-        inst = build_instance(sp.csr_array(_sparse_rows(400, 30, 0.3, seed=2)))
-        assert inst._pairs is None
-        quad = cholesky_of_weighted_gram(inst, np.random.default_rng(3).uniform(0.1, 2.0, 400))
-        assert np.array_equal(quad.Q, quad.Q.T)
+        # Rows too dense for P: the Gram is scipy's sparse b.T @ b, which is
+        # not averaged with its transpose.  It is exactly symmetric because
+        # scipy sums entry (j, k) and entry (k, j) over the same rows in the
+        # same order; this pins that on scaled columns, zero and subnormal
+        # weights, and a CSR assembled from COO input with duplicates.
+        matrix = _sparse_rows(400, 30, 0.3, seed=2)
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.1, 2.0, 400)
+        dead = w.copy()
+        dead[::7] = 0.0
+        dead[3::11] = 5e-324 * np.arange(1, dead[3::11].size + 1)
+        rows, cols = np.nonzero(matrix)
+        vals = matrix[rows, cols]
+        split = rng.uniform(0.2, 0.8, vals.size)
+        order = rng.permutation(2 * vals.size)
+        coo = sp.coo_array(
+            (
+                np.concatenate([vals * split, vals * (1.0 - split)])[order],
+                (np.tile(rows, 2)[order], np.tile(cols, 2)[order]),
+            ),
+            shape=matrix.shape,
+        )
+        cases = [
+            (sp.csr_array(matrix), w),
+            (sp.csr_array(matrix * np.logspace(-6, 6, 30)), w),
+            (sp.csr_array(matrix), dead),
+            (coo, w),
+        ]
+        for entries, weights in cases:
+            inst = build_instance(entries)
+            assert inst._pairs is None
+            quad = cholesky_of_weighted_gram(inst, weights)
+            assert np.array_equal(quad.Q, quad.Q.T)
 
     def test_built_once_and_read_only(self, monkeypatch):
         builds = []
