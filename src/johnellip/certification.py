@@ -17,8 +17,8 @@ import numpy as np
 from .core import (
     EllipsoidQuadratic,
     PolytopeInstance,
+    _column_maxima,
     _graded,
-    _row_products,
     cholesky_of_weighted_gram,
     validate_weights,
 )
@@ -188,11 +188,15 @@ def containment_check(
     to sample j.
 
     Both tests need only the column maxima of ``|A u|``, since each x is a
-    positive multiple of its u, so A is read once, by core's streamed pass
-    (``core._row_products``), in row blocks of
+    positive multiple of its u.  Core's column-maximum pass
+    (``core._column_maxima``) forms them exactly, in row blocks of
     ``max(1, core._BLOCK_ELEMENTS // samples)`` rows whose products fill one
-    block of about 1 MiB; scratch memory is that block plus
-    O(n * samples), never m x samples.
+    block of about 1 MiB.  Where its first block shows that many rows cannot
+    set a maximum, it visits rows by decreasing norm and stops each
+    direction once no unvisited row's norm bound can exceed its maximum.
+    Scratch memory is that block (two for dense rows in norm order) plus
+    O(n * samples), and, in norm order, the O(m) row bounds and order;
+    never m x samples.
     """
     check_count("samples", samples)
     check_count("seed", seed, minimum=0)
@@ -214,10 +218,7 @@ def _containment(
     u = rng.standard_normal((n, samples))
     u /= np.linalg.norm(u, axis=0)
 
-    au_inf = np.zeros(samples)
-    for _, block in _row_products(inst, u):
-        np.maximum(au_inf, np.abs(block, out=block).max(axis=0), out=au_inf)
-        del block  # one product block live at a time, also for CSR
+    au_inf = _column_maxima(inst, u)
 
     # x = u / scale with scale = sqrt(1+eps_hat) * ||L^T u||, so
     # x^T Q x = 1/(1+eps_hat) and ||A x||_inf = ||A u||_inf / scale.

@@ -26,12 +26,16 @@ in w, so a CSR instance whose rows are sparse also carries, built on first
 use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
 Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
 matrix ``U``, two sparse mat-vecs per sweep.  Every other product of ``A``
-with a small dense matrix goes through one streamed pass,
-:func:`_row_products`, reduced per row (the scores, the sketched sweep's
-image norms, via :func:`_row_norms`) or per column (containment sampling in
-``certification``), so how ``A`` is stored matters to this module alone.
-:func:`_row_blocks` is the one place ``A`` is cut into row blocks; that pass
-and the dense Gram walk it.  Every pass over ``A`` shares one scratch budget,
+with a small dense matrix is formed block by block by :func:`_product`,
+reduced per row by the streamed pass :func:`_row_products` (the scores, the
+sketched sweep's image norms, via :func:`_row_norms`) or per column by
+:func:`_column_maxima` (containment sampling in ``certification``), which,
+where its first row block shows it pays, visits rows by decreasing norm and
+skips those whose norm bound shows they cannot raise a maximum; so how
+``A`` is stored matters to this module alone.
+:func:`_row_blocks` is the one place ``A`` is cut into row blocks, in
+storage order or in a given row order; both passes and the dense Gram walk
+it.  Every pass over ``A`` shares one scratch budget,
 ``_BLOCK_ELEMENTS`` (about 1 MiB): the walker's blocks and the build of
 ``P``'s chunks are sized from it, so none allocates an ``m x n``, ``m x s``
 or ``m x samples`` array.  The dense zero-row check needs no blocks: it is one
@@ -81,6 +85,21 @@ GRAM_PIVOT_FLOOR = 1e-14
 # 50000x50 and slightly slower at 2^18; at 20000x200, 2^15 was 27% slower
 # than 2^17.
 _BLOCK_ELEMENTS = 2**17
+# Containment's column-maximum pass (_column_maxima) visits rows in
+# decreasing norm only when, in its first row block, at least this share of
+# the row-direction pairs already has a row bound below the direction's
+# running maximum.  Seeds 0-4 put that share at 0.32-0.41 on
+# sparse-bernoulli:50000x40:density=0.05, 0.01-0.04 on
+# gaussian-dense:20000x20 and sparse-bernoulli:50000x40:density=0.3, and 0
+# on gaussian-dense at 50000x50 and 1500x40.  Norm order costs an argsort
+# and random-row gathers, and no direction retired on the dense shapes:
+# always taking it made the dense pass 10% slower at 50000x50 and 24% at
+# 1500x40 (medians of 300 alternating in-process runs, 2-vCPU Xeon VM).
+_NORM_ORDER_SHARE = 1 / 8
+# Rows of A whose computed squared norm is below this (2^-970) get an
+# infinite product bound in _column_maxima: above it, underflow in a dot
+# product or in the norm is far inside the bound's rounding margin.
+_SQUARED_NORM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # The row-pair operator P is built only when it holds at most this many
 # entries per nonzero of A (rows of about 7 nonzeros on average), so it is
 # kept at up to 4x the size of A's CSR arrays and its build peaks near twice
@@ -370,46 +389,83 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
     return _lock(sp.csr_array((data, cols, indptr.astype(index)), shape=(m, n * n)).tocsc())
 
 
-def _row_blocks(inst: PolytopeInstance, width: int):
+def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = None):
     """Yield ``(start, block, out)`` over the row blocks of ``A``: the one
     place ``A`` is cut into rows.
 
     A block takes ``max(1, _BLOCK_ELEMENTS // width)`` rows, so a product or
-    copy of ``width`` elements per row fits the scratch budget.  A dense
-    block is a view of ``A`` and ``out`` the matching rows of one scratch
-    block of that size, reused across the pass, so a caller must finish with
-    a block before asking for the next.  A CSR block shares ``A``'s data and
+    copy of ``width`` elements per row fits the scratch budget, and ``out``
+    is the matching rows of one scratch block of that size for a dense
+    block, None for a CSR one.  Scratch is reused across the pass, so a
+    caller must finish with a block before asking for the next; it is
+    allocated per pass, never cached, so instances stay safe to share across
+    threads.
+
+    Without ``order`` the blocks are ``A[start:stop]`` in storage order: a
+    dense block is a view of ``A``, and a CSR block shares ``A``'s data and
     indices and gets its own shifted ``indptr`` (scipy's row slicing copies
     all three, which at containment's 1000-sample blocks of 131 rows costs a
-    tenth of the pass), and ``out`` is None.  Scratch is allocated per pass,
-    never cached, so instances stay safe to share across threads.
+    tenth of the pass).  With ``order``, an array of row indices, the blocks
+    are ``A[order[start:stop]]``, gathered (``order`` must hold valid row
+    indices): dense rows by ``np.take`` into a second scratch block, CSR
+    rows through their ``indptr`` runs into new arrays of the block's
+    nonzeros alone, so no permuted copy of ``A`` is made.
     """
-    a, m = inst.matrix, inst.m
+    a = inst.matrix
+    m = inst.m if order is None else order.size
     rows = min(m, max(1, _BLOCK_ELEMENTS // width))
-    scratch = None if inst.is_sparse else np.empty((rows, width))
+    dense = not inst.is_sparse
+    scratch = np.empty((rows, width)) if dense else None
+    gathered = np.empty((rows, inst.n)) if dense and order is not None else None
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        if scratch is not None:
-            yield start, a[start:stop], scratch[: stop - start]
-        else:
+        if dense:
+            if order is None:
+                block = a[start:stop]
+            else:
+                # The rows are valid indices; mode="raise" would buffer out.
+                picked = order[start:stop]
+                block = np.take(a, picked, axis=0, out=gathered[: stop - start], mode="clip")
+            yield start, block, scratch[: stop - start]
+            continue
+        if order is None:
             lo, hi = a.indptr[start], a.indptr[stop]
-            block = sp.csr_array(
-                (a.data[lo:hi], a.indices[lo:hi], a.indptr[start : stop + 1] - lo),
-                shape=(stop - start, a.shape[1]),
-            )
-            yield start, block, None
+            parts = (a.data[lo:hi], a.indices[lo:hi], a.indptr[start : stop + 1] - lo)
+        else:
+            picked = order[start:stop]
+            first = a.indptr[picked]
+            count = a.indptr[picked + 1] - first
+            ptr = np.zeros(stop - start + 1, dtype=a.indptr.dtype)
+            np.cumsum(count, out=ptr[1:])
+            # Entry k of the block is entry first[r] + (k - ptr[r]) of A, for
+            # the block row r that holds it.
+            pos = np.repeat(first - ptr[:-1], count) + np.arange(ptr[-1])
+            parts = (a.data[pos], a.indices[pos], ptr)
+        yield start, sp.csr_array(parts, shape=(stop - start, a.shape[1])), None
+
+
+def _product(block, right: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``block @ right`` for a block of :func:`_row_blocks`.
+
+    A dense product is written into the leading ``rows x k`` elements of the
+    walker's scratch ``out`` (``right`` may have fewer columns than the
+    width the walk was cut for); a CSR product is a new array.
+    """
+    if out is None:
+        return block @ right
+    k = right.shape[1]
+    return np.matmul(block, right, out=out.reshape(-1)[: block.shape[0] * k].reshape(-1, k))
 
 
 def _row_products(inst: PolytopeInstance, right: np.ndarray):
     """Yield ``(start, A[start:stop] @ right)`` over :func:`_row_blocks`.
 
-    The one streamed pass behind the scores, the sketched sweep and
-    containment.  A dense product is written into the walker's reused
-    scratch, so a caller must finish with it (it may overwrite it) before
-    asking for the next.
+    The one streamed pass behind the scores and the sketched sweep.  A dense
+    product is written into the walker's reused scratch, so a caller must
+    finish with it (it may overwrite it) before asking for the next.
     """
     for start, block, out in _row_blocks(inst, right.shape[1]):
-        yield start, block @ right if out is None else np.matmul(block, right, out=out)
+        yield start, _product(block, right, out)
 
 
 def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
@@ -419,6 +475,108 @@ def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     for start, x in _row_products(inst, right):
         np.einsum("ij,ij->i", x, x, out=norms[start : start + x.shape[0]])
     return norms
+
+
+def _product_bounds(a, scale: float) -> np.ndarray:
+    """``||a_i|| * scale`` for every row of ``a`` (``A`` itself or one of its
+    row blocks), with ``inf`` where the squared norm is not at least
+    ``_SQUARED_NORM_FLOOR``.
+
+    Dense rows reduce through ``einsum``, CSR rows over their ``indptr``
+    runs (no row is empty: :func:`build_instance` rejects zero rows), so
+    only the ``m`` norms and, for CSR, the squares of the nonzeros are
+    allocated.
+    """
+    if sp.issparse(a):
+        sq = np.add.reduceat(np.square(a.data), a.indptr[:-1])
+    else:
+        sq = np.einsum("ij,ij->i", a, a)
+    sq[sq < _SQUARED_NORM_FLOOR] = np.inf
+    np.sqrt(sq, out=sq)
+    sq *= scale
+    return sq
+
+
+def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
+    """``max_i |a_i^T right_j|`` for every column j of ``right``, exactly: each
+    is the largest of the computed products, as an exhaustive pass over
+    every row would find it, but rows that provably cannot raise a maximum
+    are skipped.
+
+    Every computed ``|a_i^T v|`` is at most ``b_i = ||a_i|| * max_j ||v_j||
+    * (1 + 4 (n + 2) eps)`` (:func:`_product_bounds`; eps = 2u, u = 2^-53
+    the unit roundoff).  By Higham (*Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3), a dot product of length n summed in any
+    order, with or without FMA, obeys ``|fl(a^T v)| <= (1 + g) |a|^T |v|
+    <= (1 + g) ||a|| ||v||`` (Cauchy-Schwarz), g = gamma_n = nu / (1 - nu).
+    A computed squared norm is at least ``(1 - g)`` times the true one, so a
+    computed norm, after the square root's rounding, is at least ``(1 - g)(1
+    - u)`` times the true one; that holds for ``||a_i||`` and for the
+    ``||v_j||`` whose maximum is taken.  Forming ``1 + 8 (n + 2) u`` and the
+    two products rounds at most three more times, so the computed ``b_i``
+    is at least ``||a|| ||v_j|| (1 - g)^2 (1 - u)^5 (1 + 8 (n + 2) u)``, which
+    exceeds ``(1 + g) ||a|| ||v_j||`` since ``(1 + g) / ((1 - g)^2 (1 -
+    u)^5) = 1 + (3n + 5) u + O((nu)^2)``.  Gradual underflow adds at most
+    ``n 2^-1075`` to a dot product and to a squared norm; against a squared
+    norm of at least ``_SQUARED_NORM_FLOOR`` (``2^-970``) and columns of
+    ``right`` of norm about 1 that is far inside the margin's slack, and
+    rows below the floor, or whose squared norm overflows, get ``b_i = inf``
+    and so are never skipped.  Only norms of ``A`` and ``right`` enter the
+    bound: nothing derived from the weights or the factor of ``Q`` prunes
+    the pass, which is what containment checks.
+
+    Rows are visited in decreasing ``b_i``, and column j retires once its
+    running maximum is at least ``b`` of the next unvisited row (no later
+    row can then exceed it, so the test may be non-strict).  Once the live
+    columns are half of those being multiplied they are compacted into a
+    contiguous copy of ``right[:, live]``; the walk stops when none is live.
+    The order costs ``O(m)`` norms and an argsort, and random-row gathers,
+    which pay only when columns retire early: the first row block is walked
+    in storage order, and only if at least ``_NORM_ORDER_SHARE`` of its
+    row-column pairs have ``b_i`` below the column's running maximum is the
+    pass redone in norm order (the first block's rows then change no
+    maximum).  Otherwise storage order continues, on views of ``A``.
+    """
+    samples = right.shape[1]
+    maxima = np.zeros(samples)
+    margin = 1.0 + 4 * (inst.n + 2) * np.finfo(float).eps
+    scale = float(np.sqrt(np.einsum("ij,ij->j", right, right).max())) * margin
+    blocks = _row_blocks(inst, samples)
+    for start, block, out in blocks:
+        x = _product(block, right, out)
+        np.maximum(maxima, np.abs(x, out=x).max(axis=0), out=maxima)
+        del x  # one product block live at a time, also for CSR
+        if start == 0 and block.shape[0] < inst.m:
+            # One comparison of ~131 x samples pairs; np.sort and
+            # searchsorted would page in sorting code that a storage-order
+            # pass never needs (0.3 MiB more peak RSS on dense inputs).
+            first = _product_bounds(block, scale)
+            below = np.count_nonzero(first[:, None] < maxima)
+            if below >= _NORM_ORDER_SHARE * first.size * samples:
+                break
+    else:
+        return maxima
+    del blocks, block, out
+
+    bounds = _product_bounds(inst.matrix, scale)
+    order = np.argsort(bounds)[::-1]
+    bounds = bounds[order]
+    live, columns = np.arange(samples), right
+    for start, block, out in _row_blocks(inst, samples, order):
+        x = _product(block, columns, out)
+        maxima[live] = np.maximum(maxima[live], np.abs(x, out=x).max(axis=0))
+        del x
+        stop = start + block.shape[0]
+        if stop == inst.m:
+            break
+        alive = maxima[live] < bounds[stop]
+        count = int(np.count_nonzero(alive))
+        if count == 0:
+            break
+        if 2 * count <= live.size:
+            live = live[alive]
+            columns = right[:, live]
+    return maxima
 
 
 def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:

@@ -205,13 +205,28 @@ class TestContainment:
         # Unit rows in R^3 with mass-3n weights: y^T Q y can reach
         # sum(w) = 9 > n, so some outer tests fail.  4000 samples put
         # fewer than 300 rows in a block, so the count spans several blocks.
+        self.check_violation_counts(storage, np.ones(300))
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_violation_counts_hold_when_directions_retire(self, storage, monkeypatch):
+        # Rows of norm 0.1 to 10 send the column-maximum pass to norm order,
+        # where directions retire before the last row.  Weights grow as the
+        # squared row norm, so the long rows that set ||A u||_inf carry the
+        # mass and some outer tests still fail.
+        visited = self.count_visited_rows(monkeypatch, 4000)
+        self.check_violation_counts(storage, np.logspace(-1, 1, 300))
+        assert visited["rows"] < 300
+
+    @staticmethod
+    def check_violation_counts(storage, row_scale):
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((300, 3))
         if storage == "csr":
             dense[rng.random((300, 3)) < 0.3] = 0.0
             dense[np.flatnonzero(~np.any(dense != 0.0, axis=1)), 0] = 1.0
         dense /= np.linalg.norm(dense, axis=1)[:, None]
-        w = rng.uniform(0.5, 1.5, 300)
+        dense *= row_scale[:, None]
+        w = rng.uniform(0.5, 1.5, 300) * row_scale**2
         w *= 9.0 / w.sum()
         inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
         result = containment_check(inst, w, 4000, seed=11)
@@ -221,6 +236,143 @@ class TestContainment:
         assert result.outer_violations == outer
         assert result.outer_pass == (outer == 0)
         assert result.samples == 4000
+
+    @staticmethod
+    def count_visited_rows(monkeypatch, samples):
+        # Rows that walks of containment's width (one per sample) yield; the
+        # Gram and the scores walk A with width n.
+        visited = {"rows": 0}
+        walk = core._row_blocks
+
+        def counting_walk(inst, width, *order):
+            for start, block, out in walk(inst, width, *order):
+                visited["rows"] += block.shape[0] if width == samples else 0
+                yield start, block, out
+
+        monkeypatch.setattr(core, "_row_blocks", counting_walk)
+        return visited
+
+    @staticmethod
+    def column_maxima_case(case):
+        """(dense matrix, directions, storage) of one column-maximum case."""
+        rng = np.random.default_rng(5)
+        name, _, storage = case.rpartition("-")
+        if name == "sparse-2000x8":
+            spec = GeneratorSpec("sparse-bernoulli", 2000, 8, density=0.3, seed=7)
+            dense = generate(spec).toarray()
+        elif name == "column-scales":
+            dense = rng.standard_normal((3000, 10)) * (rng.random((3000, 10)) < 0.4)
+            dense[:, 0] += 1.0
+            dense *= np.logspace(-6, 6, 10)
+        elif name == "parallel":
+            # 50 copies of each of 20 unit rows, each scaled by a few ulps, and
+            # directions parallel to those rows: products fall within ulps of
+            # the bounds, and at this seed a bound without its rounding
+            # margin misses CSR maxima.
+            rng = np.random.default_rng(0)
+            v = rng.standard_normal((20, 3))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            dense = np.repeat(v, 50, axis=0)
+            dense *= 1 + rng.integers(-3, 4, 1000)[:, None] * np.finfo(float).eps
+            rng.shuffle(dense)
+            return dense, np.tile(v.T, 50), storage
+        elif name == "tie":
+            # Rows c e_k with c a power of two, so every product and norm is
+            # exact, and signed unit directions.  At n = 3 the bound's margin
+            # is 1 + 20 eps.  Norm order visits 130 rows of norm 2^12 or more
+            # on e_1 and e_2 and the row 2^11 (1 + 20 eps) e_0 in its first
+            # block; direction e_0's maximum is then exactly the bound of the
+            # next row, 2^11 e_0, and the non-strict retire test stops there.
+            dense = np.zeros((600, 3))
+            dense[np.arange(600), rng.integers(0, 3, 600)] = rng.choice(
+                [-1.0, 1.0], 600
+            ) * np.exp2(rng.integers(-10, 10, 600))
+            dense[470:] = 0.0
+            dense[np.arange(470, 600), rng.integers(1, 3, 130)] = np.exp2(
+                rng.integers(12, 14, 130)
+            )
+            dense[:3] = 2.0**11 * np.eye(3)
+            dense[3] = [2.0**11 * (1 + 20 * np.finfo(float).eps), 0.0, 0.0]
+            return dense, np.tile(np.hstack([np.eye(3), -np.eye(3)]), 167)[:, :1000], storage
+        elif name == "one-sample":
+            dense = rng.standard_normal((700, 5)) * np.logspace(-3, 3, 700)[:, None]
+            return dense, rng.standard_normal((5, 1)), storage
+        elif name == "below-one-block":
+            dense = rng.standard_normal((100, 6)) * np.logspace(-3, 3, 100)[:, None]
+        elif name == "two-blocks":
+            # 1000 samples cut blocks of 131 rows, and 262 rows are two exactly.
+            # Long rows on the first three coordinates alternate with short
+            # ones on the last three, and half the directions lie in each
+            # group: in norm order the long rows fill the first block, and the
+            # directions they cannot reach stay live to the last row.
+            dense = np.zeros((262, 6))
+            dense[0::2, :3] = 10.0 * rng.standard_normal((131, 3))
+            dense[1::2, 3:] = rng.standard_normal((131, 3))
+            u = rng.standard_normal((6, 1000))
+            u[3:, :500] = 0.0
+            u[:3, 500:] = 0.0
+            return dense, u, storage
+        elif name == "subnormal-squares":
+            # Rows of about 1e-155, whose squares are subnormal, so a computed
+            # norm is off by some 50 ulps, more than the bound's margin, while
+            # the rows differ by 41 ulps at most: such rows must not be
+            # skipped (at this seed, a bound without the squared-norm floor
+            # misses the maximum).  The column's squared norm, 1e-307, is
+            # still normal.
+            rng = np.random.default_rng(0)
+            eps = np.finfo(float).eps
+            column = 1e-155 * (1 + rng.integers(0, 40, 1000) * eps)
+            column[rng.integers(1000)] = 1e-155 * (1 + 41 * eps)
+            dense = (column * rng.choice([-1.0, 1.0], 1000))[:, None]
+        elif name == "unit-rows":
+            dense = rng.standard_normal((1500, 5))
+            dense /= np.linalg.norm(dense, axis=1)[:, None]
+        else:
+            assert name == "gaussian"
+            dense = rng.standard_normal((3000, 20))
+        return dense, rng.standard_normal((dense.shape[1], 1000)), storage
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "sparse-2000x8-csr",
+            "column-scales-csr",
+            "parallel-csr",
+            "parallel-dense",
+            "tie-csr",
+            "tie-dense",
+            "one-sample-csr",
+            "one-sample-dense",
+            "below-one-block-dense",
+            "two-blocks-csr",
+            "two-blocks-dense",
+            "subnormal-squares-csr",
+            "subnormal-squares-dense",
+            "unit-rows-csr",
+            "unit-rows-dense",
+            "gaussian-dense",
+        ],
+    )
+    def test_column_maxima_match_exhaustive_pass(self, case, monkeypatch):
+        # Skipping rows keeps every maximum exact.  A CSR product does not
+        # depend on which rows share its block, so CSR maxima are bitwise
+        # equal; BLAS may round a dense row by its place in a block.
+        dense, u, storage = self.column_maxima_case(case)
+        u /= np.linalg.norm(u, axis=0)
+        inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
+        expected = np.abs(inst.matrix @ u).max(axis=0)
+        visited = self.count_visited_rows(monkeypatch, u.shape[1])
+        maxima = core._column_maxima(inst, u)
+        if storage == "csr":
+            assert np.array_equal(maxima, expected)
+        else:
+            np.testing.assert_array_max_ulp(maxima, expected, maxulp=1)
+        if case == "sparse-2000x8-csr":
+            assert visited["rows"] < inst.m
+        if case == "gaussian-dense":
+            assert visited["rows"] == inst.m
+        if case.startswith("tie"):
+            assert visited["rows"] == 2 * 131  # one block in each order
 
     def test_memory_does_not_grow_with_m_times_samples(self):
         # A dense m x samples block would take 20000 * 1000 * 8 B = 153 MiB.
