@@ -178,13 +178,8 @@ def run(request: RunRequest) -> int:
     """Execute a validated request; returns the process exit code."""
     try:
         _validate(request)
-    except DomainError as exc:
-        return _fail(exc, _EXIT_BAD_REQUEST)
-    try:
         return (_run_gen if request.command == "gen" else _run_graded)(request)
-    except DomainError as exc:
+    except DomainError as exc:  # a ValueError too, so it must come first
         return _fail(exc, _EXIT_BAD_REQUEST)
-    except JohnEllipsoidError as exc:
-        return _fail(exc, _EXIT_RUNTIME)
-    except (OSError, ValueError) as exc:
+    except (JohnEllipsoidError, OSError, ValueError, MemoryError) as exc:
         return _fail(exc, _EXIT_RUNTIME)

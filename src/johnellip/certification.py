@@ -22,13 +22,7 @@ from .core import (
     cholesky_of_weighted_gram,
     validate_weights,
 )
-from .errors import (
-    DomainError,
-    NoConvergenceError,
-    check_count,
-    check_real,
-    check_unit_interval,
-)
+from .errors import NoConvergenceError, check_count, check_positive, check_unit_interval
 
 __all__ = [
     "CertificateReport",
@@ -113,11 +107,7 @@ def certify(
     the factor agrees with ``A`` and ``w``; ``containment_samples=0`` skips
     them.
     """
-    check_real("target_epsilon", target_epsilon)
-    if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
-        raise DomainError(
-            f"target_epsilon must be finite and positive, got {target_epsilon!r}"
-        )
+    check_positive("target_epsilon", target_epsilon)
     check_count("containment_samples", containment_samples, minimum=0)
     check_count("containment_seed", containment_seed, minimum=0)
     w = validate_weights(w, inst.m)

@@ -61,6 +61,17 @@ def _add_report_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed for generation, sketching and sampling")
 
 
+def _add_solver_args(parser: argparse.ArgumentParser, trace_help: str) -> None:
+    parser.add_argument("--eps", dest="epsilon", metavar="EPS", type=float,
+                        help="target epsilon in (0, 1)")
+    parser.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
+                        help="override the iteration count")
+    parser.add_argument("--volume-mode", action="store_true",
+                        help="aim for a (1+eps) volume factor by solving at eps/n")
+    parser.add_argument("--trace", action="store_const", dest="fmt", const="csv",
+                        help=trace_help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="johnellip",
@@ -72,28 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exact fixed-point solver")
     _add_instance_args(solve)
     _add_report_args(solve)
-    solve.add_argument("--eps", dest="epsilon", metavar="EPS", type=float,
-                       help="target epsilon in (0, 1)")
-    solve.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
-                       help="override the iteration count")
-    solve.add_argument("--volume-mode", action="store_true",
-                       help="aim for a (1+eps) volume factor by solving at eps/n")
-    solve.add_argument("--trace", action="store_const", dest="fmt", const="csv",
-                       help="same as --format csv")
+    _add_solver_args(solve, "same as --format csv")
 
     sketched = sub.add_parser("solve-sketched", help="Gaussian-sketched solver")
     _add_instance_args(sketched)
     _add_report_args(sketched)
-    sketched.add_argument("--eps", dest="epsilon", metavar="EPS", type=float,
-                          help="target epsilon in (0, 1)")
+    _add_solver_args(sketched, "same as --format csv (computes exact scores)")
     sketched.add_argument("--delta", type=float, help="failure probability in (0, 1)")
-    sketched.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
-                          help="override the iteration count")
     sketched.add_argument("--sketch-rows", type=int, help="override the sketch size")
-    sketched.add_argument("--volume-mode", action="store_true",
-                          help="aim for a (1+eps) volume factor by solving at eps/n")
-    sketched.add_argument("--trace", action="store_const", dest="fmt", const="csv",
-                          help="same as --format csv (computes exact scores)")
 
     verify = sub.add_parser("verify", help="grade weights from a JSON file")
     _add_instance_args(verify)

@@ -27,12 +27,12 @@ use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
 Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
 matrix ``U``, two sparse mat-vecs per sweep.  Every other product of ``A``
 with a small dense matrix is formed block by block by :func:`_product`,
-reduced per row by the streamed pass :func:`_row_products` (the scores, the
-sketched sweep's image norms, via :func:`_row_norms`) or per column by
-:func:`_column_maxima` (containment sampling in ``certification``), which,
-where its first row block shows it pays, visits rows by decreasing norm and
-skips those whose norm bound shows they cannot raise a maximum; so how
-``A`` is stored matters to this module alone.
+reduced per row by the streamed pass :func:`_row_norms` (the scores, the
+sketched sweep's image norms) or per column by :func:`_column_maxima`
+(containment sampling in ``certification``), which, where its first row
+block shows it pays, visits rows by decreasing norm and skips those whose
+norm bound shows they cannot raise a maximum; so how ``A`` is stored
+matters to this module alone.
 :func:`_row_blocks` is the one place ``A`` is cut into row blocks, in
 storage order or in a given row order; both passes and the dense Gram walk
 it.  Every pass over ``A`` shares one scratch budget,
@@ -457,22 +457,15 @@ def _product(block, right: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return np.matmul(block, right, out=out.reshape(-1)[: block.shape[0] * k].reshape(-1, k))
 
 
-def _row_products(inst: PolytopeInstance, right: np.ndarray):
-    """Yield ``(start, A[start:stop] @ right)`` over :func:`_row_blocks`.
-
-    The one streamed pass behind the scores and the sketched sweep.  A dense
-    product is written into the walker's reused scratch, so a caller must
-    finish with it (it may overwrite it) before asking for the next.
-    """
-    for start, block, out in _row_blocks(inst, right.shape[1]):
-        yield start, _product(block, right, out)
-
-
 def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     """Squared row norms of ``A @ right``, one row block at a time, so no
-    ``m x k`` product is formed."""
+    ``m x k`` product is formed.
+
+    The one streamed per-row pass, behind the scores and the sketched sweep.
+    """
     norms = np.empty(inst.m)
-    for start, x in _row_products(inst, right):
+    for start, block, out in _row_blocks(inst, right.shape[1]):
+        x = _product(block, right, out)
         np.einsum("ij,ij->i", x, x, out=norms[start : start + x.shape[0]])
     return norms
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import math
 import numbers
 
 
@@ -70,6 +71,14 @@ def check_unit_interval(name: str, value) -> None:
     check_real(name, value)
     if not 0.0 < value < 1.0:
         raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a finite, positive real
+    scalar (a target epsilon, a cube's scale)."""
+    check_real(name, value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 def check_count(name: str, value, minimum: int | None = 1) -> None:

@@ -20,7 +20,6 @@ after 10 attempts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
     RankDeficientError,
     ZeroRowError,
     check_count,
+    check_positive,
     check_real,
 )
 
@@ -76,10 +76,8 @@ class GeneratorSpec:
             raise DomainError("rotated-diamond is fixed at m=4, n=2")
         if self.family == "sparse-bernoulli" and not 0.0 < self.density <= 1.0:
             raise DomainError(f"density must lie in (0, 1], got {self.density!r}")
-        if self.family == "scaled-cube" and self.scale <= 0.0:
-            raise DomainError(f"scale must be positive, got {self.scale!r}")
-        if self.family == "scaled-cube" and not math.isfinite(self.scale):
-            raise DomainError(f"scale must be finite, got {self.scale!r}")
+        if self.family == "scaled-cube":
+            check_positive("scale", self.scale)
         check_count("seed", self.seed, minimum=0)
 
 

@@ -27,6 +27,7 @@ from johnellip import (
     fixed_point_solve,
     generate,
     oracle_solve,
+    parse_generator_spec,
     sketched_solve,
     volume_ratio,
 )
@@ -521,6 +522,44 @@ class TestOracle:
         assert sol.iterations == steps
         assert sol.logdet.hex() == logdet
         assert {j: float(sol.weights[j]).hex() for j in expected} == expected
+
+    def test_drifted_pivot_retries_from_a_fresh_state(self, monkeypatch):
+        # The 5th row read comes back scaled by -1e6, so the rank-one pivot
+        # of that step is negative: the step is undone, the state refreshed
+        # from a new factorization and the row read again.  The run then
+        # takes the same steps as an undisturbed one and lands next to it.
+        inst = generate(parse_generator_spec("gaussian-dense:60x4:seed=1"))
+        graded, row_dense = certification._graded, core.PolytopeInstance.row_dense
+        refreshes, reads = [], []
+
+        def counted(inst, w):
+            refreshes.append(None)
+            return graded(inst, w)
+
+        def drifted(self, i):
+            reads.append(i)
+            row = row_dense(self, i)
+            return -1e6 * row if len(reads) == 5 else row
+
+        monkeypatch.setattr(certification, "_graded", counted)
+        undisturbed = oracle_solve(inst)
+        baseline = len(refreshes)
+        refreshes.clear()
+        monkeypatch.setattr(core.PolytopeInstance, "row_dense", drifted)
+        sol = oracle_solve(inst)
+        assert sol.iterations == undisturbed.iterations
+        assert len(reads) == sol.iterations + 1
+        assert reads[4] == reads[5]
+        assert len(refreshes) == baseline + 1
+        assert sol.support_deviation <= 1e-6
+        assert np.allclose(sol.weights, undisturbed.weights, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tau", [-1.0, -0.5], ids=["past", "at"])
+    def test_step_past_the_boundary_gains_minus_infinity(self, tau):
+        # With d = 3, 1 + tau (d - 1) is -1 and 0: the step leaves M without a
+        # positive determinant.
+        for n in (1, 3):
+            assert certification._step_gain(n, tau, 3.0) == -math.inf
 
     def test_no_convergence_reports_progress(self):
         inst = gaussian(200, 10, seed=0)

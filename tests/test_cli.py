@@ -10,6 +10,7 @@ import pytest
 
 import johnellip._driver
 import johnellip.certification
+import johnellip.cli
 from conftest import DIAMOND_ROWS
 from johnellip import (
     TRACE_HEADER,
@@ -337,6 +338,40 @@ class TestProgrammaticRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "FileNotFoundError"
+
+    def test_out_of_memory_is_exit_3(self, capsys, monkeypatch):
+        # Stands in for an allocation numpy refuses (a huge --samples or a
+        # Matrix Market size line); nothing large is allocated here.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.2 PiB")
+
+        monkeypatch.setattr(johnellip._driver, "certify", exhausted)
+        request = RunRequest(command="solve", generator="identity-cube:3")
+        assert run(request) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "MemoryError", "message": "Unable to allocate 14.2 PiB"
+        }
+
+    @pytest.mark.parametrize(
+        "argv,fields",
+        [
+            (["solve", "--eps", "0.2", "--iters", "7", "--volume-mode", "--trace"], {}),
+            (["solve-sketched", "--eps", "0.2", "--delta", "0.3", "--iters", "7",
+              "--sketch-rows", "9", "--volume-mode", "--trace"],
+             {"delta": 0.3, "sketch_rows": 9}),
+        ],
+        ids=["solve", "solve-sketched"],
+    )
+    def test_solver_flags_parse_into_the_request(self, monkeypatch, argv, fields):
+        requests = []
+        monkeypatch.setattr(johnellip._driver, "run", lambda request: requests.append(request))
+        johnellip.cli.main([*argv, "--gen", "identity-cube:3"])
+        assert requests == [RunRequest(
+            command=argv[0], generator="identity-cube:3", epsilon=0.2, iterations=7,
+            volume_mode=True, fmt="csv", **fields,
+        )]
 
     @pytest.mark.parametrize("command", ["bench", "nope"])
     def test_unknown_command_rejected(self, capsys, command):

@@ -12,9 +12,12 @@ from johnellip import (
     DomainError,
     GenerationFailedError,
     GeneratorSpec,
+    RankDeficientError,
     generate,
+    generators,
     parse_generator_spec,
 )
+from johnellip.core import _adopt
 
 
 class TestDeterministicFamilies:
@@ -100,6 +103,32 @@ class TestRandomFamilies:
         first = generate(spec)
         second = generate(spec)
         assert first.m == second.m
+        assert np.array_equal(first.matrix.indptr, second.matrix.indptr)
+        assert np.array_equal(first.matrix.indices, second.matrix.indices)
+        assert np.array_equal(first.matrix.data, second.matrix.data)
+
+    def test_rank_loss_retries_with_the_next_draw(self, monkeypatch):
+        # This seed's first draw keeps 5 nonempty rows of rank 3; the second
+        # keeps 8 of rank 4 and builds.  The retry reads on from the same
+        # stream, so a second generate repeats both draws and the matrix.
+        adopted = []
+
+        def adopt(a):
+            try:
+                inst = _adopt(a)
+            except RankDeficientError:
+                adopted.append("rank loss")
+                raise
+            adopted.append("built")
+            return inst
+
+        monkeypatch.setattr(generators, "_adopt", adopt)
+        spec = parse_generator_spec("sparse-bernoulli:12x4:density=0.2:seed=2")
+        first = generate(spec)
+        assert adopted == ["rank loss", "built"]
+        second = generate(spec)
+        assert adopted == ["rank loss", "built"] * 2
+        assert (first.m, first.n) == (second.m, second.n)
         assert np.array_equal(first.matrix.indptr, second.matrix.indptr)
         assert np.array_equal(first.matrix.indices, second.matrix.indices)
         assert np.array_equal(first.matrix.data, second.matrix.data)
