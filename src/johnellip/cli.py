@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-__all__ = ["RunRequest", "main"]
+__all__ = ["RunRequest"]
 
 
 @dataclass(frozen=True)

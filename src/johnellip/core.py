@@ -38,7 +38,12 @@ storage order or in a given row order; both passes and the dense Gram walk
 it.  Every pass over ``A`` shares one scratch budget,
 ``_BLOCK_ELEMENTS`` (about 1 MiB): the walker's blocks and the build of
 ``P``'s chunks are sized from it, so none allocates an ``m x n``, ``m x s``
-or ``m x samples`` array.  The dense zero-row check needs no blocks: it is one
+or ``m x samples`` array.  Two CSR products outside those passes do: the
+Gram of CSR whose rows are too dense for ``P`` builds a sparse
+``sqrt(W) A`` and ``B^T B`` on every sweep (15.5 MiB for a 5-sweep solve
+of ``sparse-bernoulli:50000x40:density=0.3``, whose ``A`` is 7.1 MiB), and
+the sketched sweep's ``S sqrt(W) A`` copies the ``s x m`` draw (see
+``sketched._sketch_step``).  The dense zero-row check needs no blocks: it is one
 ``np.any`` reduction, which allocates only its ``m`` results.
 Every dense BLAS and LAPACK call of the solvers and the verification layer
 goes through numpy; scipy's LAPACK is used once per instance, for the rank
@@ -229,7 +234,11 @@ def _adopt(a) -> PolytopeInstance:
     ``mmio.read_matrix_market`` pass the matrix they drew or parsed, so set-up
     holds one copy of ``A``.  A float64 C-ordered ndarray or a float64 CSR
     array is used as it is (a CSR array is canonicalized in place); anything
-    else is converted first.  The buffers are then locked read-only, so the
+    else is converted first, after the shape checks.  A sparse array with
+    more rows than stored entries is not converted to CSR: it must have an
+    empty row, which is found over its entries alone, so a Matrix Market size
+    line that declares 10^7 rows for two entries allocates nothing that grows
+    with ``m``.  The buffers are then locked read-only, so the
     caller must not write to them afterwards.  The shape is the array's own:
     each caller has just built the array at the shape it means (the Matrix
     Market reader from the file's size line), so there is none to compare.
@@ -242,11 +251,7 @@ def _adopt(a) -> PolytopeInstance:
     no ``m x n`` mask.  Errors and their order are those documented on
     :func:`build_instance`.
     """
-    if sp.issparse(a):
-        a = sp.csr_array(a, dtype=np.float64)
-        a.sum_duplicates()
-        a.eliminate_zeros()
-    else:
+    if not sp.issparse(a):
         a = np.asarray(a, dtype=np.float64, order="C")
         if a.ndim != 2:
             raise DimensionError(f"constraint matrix must be 2-D, got ndim={a.ndim}")
@@ -257,14 +262,26 @@ def _adopt(a) -> PolytopeInstance:
     if rows < cols:
         raise DimensionError(f"need m >= n, got m={rows}, n={cols}")
 
+    # More rows than entries leaves a row empty, and one of the two errors
+    # below is certain: COO finds it in O(nnz) without CSR's m + 1 indptr.
+    short = sp.issparse(a) and rows > a.nnz
+    if sp.issparse(a):
+        a = (sp.coo_array if short else sp.csr_array)(a, dtype=np.float64)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+
     # Overflow and inf * 0 are named below, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = (a.T @ a).toarray() if sp.issparse(a) else a.T @ a
-    finite = bool(np.all(np.isfinite(gram)))
+        gram = None if short else (a.T @ a).toarray() if sp.issparse(a) else a.T @ a
+    finite = gram is not None and bool(np.all(np.isfinite(gram)))
     if not finite and not np.all(np.isfinite(a.data if sp.issparse(a) else a)):
         raise DomainError("constraint matrix has non-finite entries")
 
-    if sp.issparse(a):
+    if short:
+        # The sorted distinct rows, then m: the first gap is the first empty row.
+        present = np.append(np.unique(a.row), rows)
+        zero = np.flatnonzero(present != np.arange(present.size))
+    elif sp.issparse(a):
         zero = np.flatnonzero(np.diff(a.indptr) == 0)
     else:
         zero = np.flatnonzero(~np.any(a, axis=1))

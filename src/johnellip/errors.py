@@ -3,6 +3,12 @@
 import math
 import numbers
 
+__all__ = [
+    "JohnEllipsoidError", "DimensionError", "ZeroRowError", "RankDeficientError",
+    "NotPositiveDefiniteError", "DomainError", "NoConvergenceError", "ParseError",
+    "GenerationFailedError",
+]
+
 
 class JohnEllipsoidError(Exception):
     """Base class for every error this package raises deliberately."""

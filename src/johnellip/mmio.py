@@ -25,7 +25,10 @@ bulk parse shifts them to 0-based in place; the CSR arrays are then int32,
 as ``generators.generate`` makes them.  Reading ``sparse-bernoulli``
 50000x40 at density 0.05 peaks near 50 bytes per stored entry under
 tracemalloc: the 16-byte ``(i, j, v)`` records, a copy of the values, and
-the CSR build.
+the CSR build (tier 1 holds 20000x40 to 64).  A size line that declares
+more rows than the file has entries allocates nothing that grows with the
+row count (see ``core._adopt``), and the byte scan before the bulk parse
+reads 64 KiB at a time.
 
 The parsed matrix becomes the instance without a further copy, except that
 the dense ``array`` layout, stored column by column, takes one transposing
@@ -163,7 +166,7 @@ def _parse_bulk(path):
     holds or which line is wrong: it, not numpy, defines a valid file.
     """
     with open(path, "rb") as raw:
-        for chunk in iter(lambda: raw.read(1 << 20), b""):
+        for chunk in iter(lambda: raw.read(1 << 16), b""):
             if any(mark in chunk for mark in _SPLITLINES_ONLY_BREAKS):
                 return None
     with open(path, "r", encoding="ascii") as handle, warnings.catch_warnings():

@@ -110,8 +110,12 @@ def _sketch_step(
     streamed pass (``core._row_norms``), one row block at a time, so no
     ``m x rows`` image is formed.  ``S`` is drawn into ``out`` (a
     ``rows x m`` float64 buffer) when one is given and scaled there in
-    place, so repeated sweeps reuse one block, the only scratch that grows
-    as ``m x rows``.
+    place, so repeated sweeps reuse one block.  On dense ``A`` that block is
+    the only scratch that grows as ``m x rows``.  On CSR it is not: scipy
+    computes ``scaled @ A`` as ``(A.T @ scaled.T).T`` and copies the whole
+    draw, so one sweep of ``sparse-bernoulli:20000x20:density=0.1`` at
+    ``rows = 160`` peaked at 21.56 MiB under tracemalloc, against 1.22 MiB
+    for ``gaussian-dense:20000x20``.
     """
     quad = cholesky_of_weighted_gram(inst, w)
     scaled = rng.standard_normal((rows, inst.m), out=out)

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from johnellip import (
+    DimensionError,
     GeneratorSpec,
     JohnEllipsoidError,
     ParseError,
@@ -459,3 +460,72 @@ class TestBitPatterns:
         path = tmp_path / "bits.mtx"
         write_matrix_market(path, inst)
         assert path.read_text() == per_line_text(inst)
+
+
+COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+# Files whose size line declares more rows than entries, with the dense
+# matrix each one means (duplicates summed).  Each must fail as that matrix
+# fails in build_instance.
+SHORT_FILES = {
+    "missing-rows": ("4 2 3\n1 1 1.0\n2 2 1.0\n4 1 1.0\n", [[1, 0], [0, 1], [0, 0], [1, 0]]),
+    "explicit-zero-row": ("4 2 3\n1 1 0.0\n2 2 1.0\n3 1 1.0\n", [[0, 0], [0, 1], [1, 0], [0, 0]]),
+    "cancelling-duplicates": (
+        "4 2 3\n1 1 1.5\n1 1 -1.5\n2 2 1.0\n",
+        [[0, 0], [0, 1], [0, 0], [0, 0]],
+    ),
+    "nan-value": ("4 2 3\n1 1 1.0\n2 2 nan\n3 1 1.0\n", [[1, 0], [0, math.nan], [1, 0], [0, 0]]),
+    "more-columns-than-rows": ("3 5 2\n1 1 1.0\n2 2 1.0\n", [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5]),
+}
+
+
+def error_of(call, *args):
+    with pytest.raises(JohnEllipsoidError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def read_peak(path):
+    """The error reading ``path`` raises, and the tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        error = error_of(read_matrix_market, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return error, peak
+
+
+class TestMoreRowsThanEntries:
+    # Such a file must have an empty row, found without an m + 1 indptr.
+    @pytest.mark.parametrize("name", list(SHORT_FILES))
+    def test_fails_as_the_dense_matrix_does(self, tmp_path, name):
+        text, dense = SHORT_FILES[name]
+        got = error_of(read_matrix_market, write(tmp_path, COORDINATE + text))
+        assert got == error_of(build_instance, np.array(dense, dtype=float))
+
+    def test_ten_million_rows_two_entries(self, tmp_path):
+        path = write(tmp_path, COORDINATE + "10000000 2 2\n1 1 1.0\n2 2 1.0\n")
+        error, peak = read_peak(path)
+        assert error == (ZeroRowError, "constraint row 2 is identically zero")
+        assert peak < 2**20
+
+    def test_ten_million_rows_no_columns(self, tmp_path):
+        error, peak = read_peak(write(tmp_path, COORDINATE + "10000000 0 0\n"))
+        assert error == (DimensionError, "constraint matrix needs at least one column")
+        assert peak < 2**20
+
+
+def test_read_peak_per_stored_entry(tmp_path):
+    # The module docstring states about 50 bytes per stored entry.
+    drawn = generate(GeneratorSpec("sparse-bernoulli", 20000, 40, density=0.05, seed=0))
+    path = tmp_path / "sparse.mtx"
+    write_matrix_market(path, drawn)
+    tracemalloc.start()
+    try:
+        read_matrix_market(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_entry = peak / drawn.matrix.nnz
+    assert per_entry <= 64, f"{per_entry:.1f} bytes per stored entry"
