@@ -10,8 +10,10 @@ verification layer:
   ``Q^{-1}`` in one :class:`EllipsoidQuadratic` per weight vector,
 * the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i`` (leverage scores of row i
   of ``sqrt(W) A`` divided by ``w_i``), read off that one factor by
-  :func:`_graded`, which ``leverage_scores`` and every grade in
-  ``certification`` share.
+  :func:`_scores`: :func:`_graded` keeps the factor for every grade in
+  ``certification``, and ``leverage_scores``, called once per solver
+  sweep, takes the factor from :func:`_factor` without building an
+  :class:`EllipsoidQuadratic` it would throw away.
 
 Each Gram product is exactly symmetric as it comes out (numpy's dense
 ``B^T B`` is a syrk, scipy's sparse one sums ``(j, k)`` and ``(k, j)`` in the
@@ -25,7 +27,10 @@ float64 and instances are immutable after construction.  ``Q(w)`` is linear
 in w, so a CSR instance whose rows are sparse also carries, built on first
 use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
 Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
-matrix ``U``, two sparse mat-vecs per sweep.  Every other product of ``A``
+matrix ``U``, two sparse mat-vecs per sweep.  ``P^T`` and the ``n x n``
+constants that mirror ``P^T w`` into ``Q`` and form ``U`` are built with
+``P`` (:class:`_Pairs`), so a sweep builds no scipy object and takes no
+triangle or diagonal copies of its own.  Every other product of ``A``
 with a small dense matrix is formed block by block by :func:`_product`,
 reduced per row by the streamed pass :func:`_row_norms` (the scores, the
 sketched sweep's image norms) or per column by :func:`_column_maxima`
@@ -38,13 +43,15 @@ storage order or in a given row order; both passes and the dense Gram walk
 it.  Every pass over ``A`` shares one scratch budget,
 ``_BLOCK_ELEMENTS`` (about 1 MiB): the walker's blocks and the build of
 ``P``'s chunks are sized from it, so none allocates an ``m x n``, ``m x s``
-or ``m x samples`` array.  Two CSR products outside those passes do: the
+or ``m x samples`` array.  One CSR product outside those passes does: the
 Gram of CSR whose rows are too dense for ``P`` builds a sparse
 ``sqrt(W) A`` and ``B^T B`` on every sweep (15.5 MiB for a 5-sweep solve
-of ``sparse-bernoulli:50000x40:density=0.3``, whose ``A`` is 7.1 MiB), and
-the sketched sweep's ``S sqrt(W) A`` copies the ``s x m`` draw (see
-``sketched._sketch_step``).  The dense zero-row check needs no blocks: it is one
-``np.any`` reduction, which allocates only its ``m`` results.
+of ``sparse-bernoulli:50000x40:density=0.3``, whose ``A`` is 7.1 MiB).
+The sketched sweep's ``S sqrt(W) A`` is formed by :func:`_left_product`,
+which on CSR copies ``_LEFT_CHUNK_ROWS`` rows of the ``s x m`` draw at a
+time, not the whole draw as scipy's product would.  The dense zero-row
+check needs no blocks: it is one ``np.any`` reduction, which allocates only
+its ``m`` results.
 Every dense BLAS and LAPACK call of the solvers and the verification layer
 goes through numpy; scipy's LAPACK is used once per instance, for the rank
 check when an instance is built (:func:`build_instance`, :func:`_adopt`).
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,6 +119,14 @@ _SQUARED_NORM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # that.  P's sweep is the faster one at every row density, so memory alone
 # sets the cut.
 _PAIRS_PER_NONZERO = 4
+# _left_product forms S @ A for CSR A this many rows of S at a time.  scipy
+# copies each slice of S it is given, so the slice, not S, is the scratch.
+# At sparse-bernoulli 50000x40, density 0.05, s = 160, 16 rows took 19.6 ms
+# and peaked at 5.4 MiB under tracemalloc, against 32.4 ms and 53.3 MiB for
+# the whole S, 24.6 ms for 64 rows and 42.9 ms for 4; slices sized from
+# _BLOCK_ELEMENTS would hold 2-7 rows (medians of 15 interleaved runs,
+# 2-vCPU Xeon VM).
+_LEFT_CHUNK_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +168,30 @@ class PolytopeInstance:
         return self.matrix.copy()
 
     @cached_property
-    def _pairs(self) -> sp.csc_array | None:
-        # Row-pair operator of a CSR instance (see _pair_operator), built on
-        # first use and kept for the instance's lifetime; None for dense A
-        # and for CSR whose rows are too dense for it to stay small.
+    def _pairs(self) -> _Pairs | None:
+        # Row-pair operator of a CSR instance and its sweep constants (see
+        # _pair_operator), built on first use and kept for the instance's
+        # lifetime; None for dense A and for CSR whose rows are too dense for
+        # P to stay small.
         return _pair_operator(self.matrix) if self.is_sparse else None
+
+
+class _Pairs(NamedTuple):
+    """The row-pair operator ``P`` of a CSR instance and the constants of
+    its sweep, built together once per instance by :func:`_pair_operator`.
+
+    ``op_t`` is ``P^T`` on ``P``'s own buffers, so transposing costs no
+    scipy object per Gram.  ``mirror`` reads the full ``vec(Q)`` off the
+    upper triangle ``P^T w`` (entry ``(k, j)`` below the diagonal from
+    ``(j, k)``), and ``double`` turns ``Q^{-1}`` into ``U``, its upper
+    triangle with the off-diagonal doubled, by one elementwise product.
+    Both hold ``n^2`` entries and, like ``P``, are locked read-only.
+    """
+
+    op: sp.csc_array
+    op_t: sp.csr_array
+    mirror: np.ndarray
+    double: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +377,10 @@ def validate_weights(w, m: int) -> np.ndarray:
     strings and booleans are rejected, not converted.  numpy promotes a
     boolean mixed with numbers, so input that is not an ndarray is scanned
     for booleans as well.  Float64 input is returned as it is, without a
-    copy or a scan.
+    copy.  The values are checked in one pass, one ``min`` and one ``max``
+    (NaN fails both comparisons); only a vector that fails it is scanned
+    again, to name the error, non-finite entries before negative ones.
+    ``-0.0`` is accepted.
     """
     try:
         arr = np.asarray(w)
@@ -355,6 +393,8 @@ def validate_weights(w, m: int) -> np.ndarray:
         raise DomainError(f"weight vector must have shape ({m},), got {arr.shape}")
     if not isinstance(w, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in w):
         raise DomainError("weight vector must hold integers or floats, got a boolean")
+    if m == 0 or (arr.min() >= 0.0 and arr.max() < np.inf):
+        return arr
     if not np.all(np.isfinite(arr)):
         raise DomainError("weight vector has non-finite entries")
     if np.any(arr < 0.0):
@@ -362,12 +402,13 @@ def validate_weights(w, m: int) -> np.ndarray:
     return arr
 
 
-def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
-    """Operator ``P`` (m x n^2) with ``P^T w = vec(triu(Q(w)))``.
+def _pair_operator(a: sp.csr_array) -> _Pairs | None:
+    """Operator ``P`` (m x n^2) with ``P^T w = vec(triu(Q(w)))``, with the
+    constants of its sweep (:class:`_Pairs`).
 
     Row i holds the products ``a_ij a_ik`` (j <= k) of its own nonzeros at
     column ``j*n + k``, ``nnz_i (nnz_i + 1) / 2`` entries, so a weighted Gram
-    is one sparse mat-vec and so is every score (see :func:`_graded`).
+    is one sparse mat-vec and so is every score (see :func:`_scores`).
     Returns None when ``P`` would hold more than ``_PAIRS_PER_NONZERO`` entries
     per nonzero of A; such rows stay on the row-block path.
     """
@@ -403,7 +444,11 @@ def _pair_operator(a: sp.csr_array) -> sp.csc_array | None:
         start = stop
     # Stored by column: scipy's CSR mat-vec pays per row, and these rows are
     # short, so both products run about twice as fast from CSC.
-    return _lock(sp.csr_array((data, cols, indptr.astype(index)), shape=(m, n * n)).tocsc())
+    op = _lock(sp.csr_array((data, cols, indptr.astype(index)), shape=(m, n * n)).tocsc())
+    square = np.arange(n * n).reshape(n, n)
+    mirror = np.where(square <= square.T, square, square.T).ravel()
+    double = np.triu(np.full((n, n), 2.0), 1) + np.eye(n)
+    return _Pairs(op, op.T, _lock(mirror), _lock(double))
 
 
 def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = None):
@@ -472,6 +517,26 @@ def _product(block, right: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         return block @ right
     k = right.shape[1]
     return np.matmul(block, right, out=out.reshape(-1)[: block.shape[0] * k].reshape(-1, k))
+
+
+def _left_product(inst: PolytopeInstance, left: np.ndarray) -> np.ndarray:
+    """``left @ A`` for a dense ``k x m`` matrix ``left``, as a ``k x n`` array.
+
+    Dense ``A`` takes one gemm.  For CSR, scipy computes ``left @ A`` as
+    ``(A^T @ left^T)^T`` and copies the whole of ``left`` into row order
+    first; here the same product is formed ``_LEFT_CHUNK_ROWS`` rows of
+    ``left`` at a time, so only one slice is copied.  Each entry is the
+    same sum in the same order, so the result equals scipy's whole product
+    bit for bit, in the same (column-major) layout.
+    """
+    if not inst.is_sparse:
+        return left @ inst.matrix
+    at = inst.matrix.T
+    product = np.empty((inst.n, left.shape[0]))
+    for start in range(0, left.shape[0], _LEFT_CHUNK_ROWS):
+        stop = start + _LEFT_CHUNK_ROWS
+        product[:, start:stop] = at @ left[start:stop].T
+    return product.T
 
 
 def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
@@ -607,11 +672,18 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     a pivot of ``Q`` scaled to unit diagonal, ``L_kk^2 / Q_kk``, falls at or
     below ``GRAM_PIVOT_FLOOR``; the test does not depend on column scale.
     """
-    w = validate_weights(w, inst.m)
+    q, lower = _factor(inst, validate_weights(w, inst.m))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return EllipsoidQuadratic(Q=_lock(q), L=_lock(lower), logdet=logdet)
+
+
+def _factor(inst: PolytopeInstance, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Q(w)`` and its lower Cholesky factor for validated weights, as
+    :func:`cholesky_of_weighted_gram` documents them, with no logdet, lock
+    or :class:`EllipsoidQuadratic`: ``leverage_scores`` needs only ``L``."""
     pairs = inst._pairs
     if pairs is not None:
-        q = (pairs.T @ w).reshape(inst.n, inst.n)
-        q += np.triu(q, 1).T
+        q = (pairs.op_t @ w)[pairs.mirror].reshape(inst.n, inst.n)
     else:
         root = np.sqrt(w)
         if inst.is_sparse:
@@ -634,31 +706,35 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
             f"weighted Gram pivot {k} is {scaled_pivots[k]:.3e} of its diagonal, "
             f"at or below floor {GRAM_PIVOT_FLOOR:.0e}"
         )
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return EllipsoidQuadratic(Q=_lock(q), L=_lock(lower), logdet=logdet)
+    return q, lower
+
+
+def _scores(inst: PolytopeInstance, inv_l: np.ndarray) -> np.ndarray:
+    """The scores ``sigma_i = a_i^T Q^{-1} a_i`` read off ``L^{-1}``: the one
+    score formula, behind :func:`_graded` and :func:`leverage_scores`.
+
+    CSR with sparse rows forms ``Q^{-1} = L^{-T} L^{-1}`` (a syrk, as
+    ``EllipsoidQuadratic.inverse`` forms it) and reads every score off it
+    as one mat-vec ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}``
+    and its off-diagonal doubled: O(sum_i nnz_i^2).  Its rounding error is
+    of the order of the error the Gram's own rounding puts into the scores;
+    a quadratic form can still dip below zero where a squared norm cannot,
+    so the result is clipped at zero.  Other input takes the squared row
+    norms of ``A L^{-T}`` from the streamed pass :func:`_row_norms`:
+    O(m n^2) dense, O(nnz n) sparse, with no copy of A.
+    """
+    pairs = inst._pairs
+    if pairs is None:
+        return _row_norms(inst, np.ascontiguousarray(inv_l.T))
+    sigma = pairs.op @ np.multiply(inv_l.T @ inv_l, pairs.double).ravel()
+    return np.maximum(sigma, 0.0, out=sigma)
 
 
 def _graded(inst: PolytopeInstance, w) -> tuple[EllipsoidQuadratic, np.ndarray]:
     """The one factorization of ``Q(w)`` behind every grade of ``w``, and the
-    scores ``sigma_i = a_i^T Q^{-1} a_i`` read from it.
-
-    CSR with sparse rows reads every score off ``quad.inverse`` as one
-    mat-vec ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}`` and its
-    off-diagonal doubled: O(sum_i nnz_i^2).  Its rounding error is of the
-    order of the error the Gram's own rounding puts into the scores; a
-    quadratic form can still dip below zero where a squared norm cannot, so
-    the result is clipped at zero.  Other input takes the squared row norms
-    of ``A L^{-T}`` (``quad.inv_l``) from the streamed pass
-    :func:`_row_norms`: O(m n^2) dense, O(nnz n) sparse, with no copy of A.
-    """
+    scores read from it by :func:`_scores`."""
     quad = cholesky_of_weighted_gram(inst, w)
-    pairs = inst._pairs
-    if pairs is not None:
-        inverse = quad.inverse
-        upper = 2.0 * np.triu(inverse, 1) + np.diag(np.diag(inverse))
-        sigma = pairs @ upper.ravel()
-        return quad, np.maximum(sigma, 0.0, out=sigma)
-    return quad, _row_norms(inst, np.ascontiguousarray(quad.inv_l.T))
+    return quad, _scores(inst, quad.inv_l)
 
 
 def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
@@ -666,5 +742,8 @@ def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
 
     ``w_i * sigma_i(w)`` is the leverage score of row i of ``sqrt(W) A``;
     those products lie in [0, 1] and sum to n for any valid weights.
+    The scores are those of :func:`_graded`, from the same factor, without
+    the :class:`EllipsoidQuadratic` a solver sweep would throw away.
     """
-    return _graded(inst, w)[1]
+    _, lower = _factor(inst, validate_weights(w, inst.m))
+    return _scores(inst, np.linalg.inv(lower))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolytopeInstance, _row_norms, cholesky_of_weighted_gram
+from .core import PolytopeInstance, _left_product, _row_norms, cholesky_of_weighted_gram
 from .errors import check_count, check_unit_interval
 from .fixed_point import SolveTrace, _average_iterates
 
@@ -110,17 +110,18 @@ def _sketch_step(
     streamed pass (``core._row_norms``), one row block at a time, so no
     ``m x rows`` image is formed.  ``S`` is drawn into ``out`` (a
     ``rows x m`` float64 buffer) when one is given and scaled there in
-    place, so repeated sweeps reuse one block.  On dense ``A`` that block is
-    the only scratch that grows as ``m x rows``.  On CSR it is not: scipy
-    computes ``scaled @ A`` as ``(A.T @ scaled.T).T`` and copies the whole
-    draw, so one sweep of ``sparse-bernoulli:20000x20:density=0.1`` at
-    ``rows = 160`` peaked at 21.56 MiB under tracemalloc, against 1.22 MiB
-    for ``gaussian-dense:20000x20``.
+    place, so repeated sweeps reuse one block, the only scratch that grows
+    as ``m x rows``: ``S B`` comes from ``core._left_product``, which on CSR
+    copies 16 rows of the draw at a time where scipy's whole product copied
+    all of it.  One sweep at ``rows = 160`` with the buffer passed in peaked
+    under tracemalloc at 1.22 MiB for ``gaussian-dense:20000x20`` and at
+    2.22 MiB for ``sparse-bernoulli:20000x20:density=0.1`` (21.56 MiB with
+    scipy's whole product).
     """
     quad = cholesky_of_weighted_gram(inst, w)
     scaled = rng.standard_normal((rows, inst.m), out=out)
     scaled *= np.sqrt(w)
-    flat = ((scaled @ inst.matrix) @ quad.inv_l.T) @ quad.inv_l
+    flat = (_left_product(inst, scaled) @ quad.inv_l.T) @ quad.inv_l
     return w * _row_norms(inst, flat.T) / rows
 
 

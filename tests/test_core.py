@@ -222,8 +222,26 @@ class TestValidateWeights:
         assert w.dtype == np.float64 and w.shape == (3,)
 
     def test_float64_input_is_not_copied(self):
-        w = np.ones(3)
-        assert validate_weights(w, 3) is w
+        # -0.0 passes the one-pass check (min >= 0.0) as 0.0 does.
+        for w in (np.ones(3), np.array([1.0, -0.0, 0.0])):
+            assert validate_weights(w, 3) is w
+
+    def test_integer_array_converted(self):
+        w = validate_weights(np.array([1, 0, 3], dtype=np.int32), 3)
+        assert w.dtype == np.float64 and np.array_equal(w, [1.0, 0.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.0, -np.inf, 2.0], "non-finite"),
+            ([-1.0, np.nan, 2.0], "non-finite"),
+            ([np.nan, -np.inf, -2.0], "non-finite"),
+            ([1.0, -5e-324, 2.0], "negative"),
+        ],
+    )
+    def test_error_names_non_finite_before_negative(self, bad, message):
+        with pytest.raises(DomainError, match=message):
+            validate_weights(np.array(bad), 3)
 
     @pytest.mark.parametrize(
         "bad",
@@ -403,6 +421,20 @@ def _instance(matrix, storage):
     return build_instance(matrix if storage == "dense" else sp.csr_array(matrix))
 
 
+@pytest.mark.parametrize(
+    "storage, zero_fraction, pairs",
+    [("dense", 0.0, False), ("csr", 0.7, True), ("csr", 0.0, False)],
+    ids=["dense", "csr-pairs", "csr-row-blocks"],
+)
+def test_leverage_scores_are_the_graded_scores(storage, zero_fraction, pairs):
+    # leverage_scores skips the EllipsoidQuadratic that _graded keeps; both
+    # read the scores off the same factor through core._scores, bit for bit.
+    inst = _instance(_sparse_rows(3000, 9, zero_fraction, seed=8), storage)
+    assert (inst._pairs is not None) == pairs
+    w = np.random.default_rng(9).uniform(0.1, 2.0, 3000)
+    assert np.array_equal(leverage_scores(inst, w), core._graded(inst, w)[1])
+
+
 def _sparse_rows(m, n, zero_fraction, seed):
     """Gaussian m x n matrix with entries zeroed at random, no zero row."""
     rng = np.random.default_rng(seed)
@@ -415,7 +447,8 @@ def _sparse_rows(m, n, zero_fraction, seed):
 class TestPairOperator:
     """CSR with sparse rows: Gram and scores through the row-pair operator."""
 
-    def test_rows_of_every_length_match_qr_reference(self):
+    @staticmethod
+    def rows_of_every_length():
         # Rows 0..n-1 hold 1..n nonzeros, the rest one or two, so the
         # operator stays under the cut of 4 pairs per nonzero.
         n = 12
@@ -425,11 +458,41 @@ class TestPairOperator:
             k = i + 1 if i < n else 1 + i % 2
             cols = rng.choice(n, size=k, replace=False)
             matrix[i, cols] = rng.standard_normal(k)
+        return matrix, rng.uniform(0.1, 2.0, 3000)
+
+    @staticmethod
+    def near_collinear_columns():
+        # Column 1 is column 0 times 1 + 1e-4 * noise, so the Gram scaled to
+        # unit diagonal has a pivot near 1e-8 and a condition number near
+        # 4e8.
+        rng = np.random.default_rng(1)
+        matrix = rng.standard_normal((1500, 10))
+        matrix[rng.random((1500, 10)) > 0.25] = 0.0
+        matrix[:, 1] = matrix[:, 0] * (1.0 + 1e-4 * rng.standard_normal(1500))
+        matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 2] = 1.0
+        return matrix, rng.uniform(0.1, 2.0, 1500)
+
+    def test_rows_of_every_length_match_qr_reference(self):
+        matrix, w = self.rows_of_every_length()
         inst = build_instance(sp.csr_array(matrix))
         assert inst._pairs is not None
-        w = rng.uniform(0.1, 2.0, 3000)
         sigma = leverage_scores(inst, w)
         assert np.allclose(sigma, qr_reference_scores(matrix, w), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["rows_of_every_length", "near_collinear_columns"])
+    def test_sweep_constants_keep_every_bit(self, case):
+        # The sweep reads P^T, the mirror and the doubling off the instance;
+        # the Gram and the scores must be those of the formulas they replace.
+        matrix, w = getattr(self, case)()
+        inst = build_instance(sp.csr_array(matrix))
+        pairs, n = inst._pairs.op, inst.n
+        q = (pairs.T @ w).reshape(n, n)
+        q += np.triu(q, 1).T
+        quad = cholesky_of_weighted_gram(inst, w)
+        assert np.array_equal(quad.Q, q)
+        inv = quad.inverse
+        sigma = pairs @ (2.0 * np.triu(inv, 1) + np.diag(np.diag(inv))).ravel()
+        assert np.array_equal(leverage_scores(inst, w), np.maximum(sigma, 0.0))
 
     def test_dense_rows_fall_back_to_row_blocks(self):
         # 16421 rows: one full score block of 2^17 // 10 rows plus a ragged
@@ -444,18 +507,11 @@ class TestPairOperator:
         assert np.allclose(sigma, expected, rtol=1e-13, atol=0.0)
 
     def test_near_collinear_columns_match_qr_reference(self):
-        # Column 1 is column 0 times 1 + 1e-4 * noise, so the Gram scaled to
-        # unit diagonal has a pivot near 1e-8 and a condition number near
-        # 4e8.  Both score paths inherit the Gram's rounding; the quadratic
-        # form P vec(U) must stay as close to QR as the row blocks do.
-        rng = np.random.default_rng(1)
-        matrix = rng.standard_normal((1500, 10))
-        matrix[rng.random((1500, 10)) > 0.25] = 0.0
-        matrix[:, 1] = matrix[:, 0] * (1.0 + 1e-4 * rng.standard_normal(1500))
-        matrix[np.flatnonzero(~np.any(matrix != 0.0, axis=1)), 2] = 1.0
+        # Both score paths inherit the Gram's rounding; the quadratic form
+        # P vec(U) must stay as close to QR as the row blocks do.
+        matrix, w = self.near_collinear_columns()
         inst = build_instance(sp.csr_array(matrix))
         assert inst._pairs is not None
-        w = rng.uniform(0.1, 2.0, 1500)
         quad = cholesky_of_weighted_gram(inst, w)
         assert np.min(np.diag(quad.L) ** 2 / np.diag(quad.Q)) < 1e-7
         expected = qr_reference_scores(matrix, w)
@@ -486,8 +542,8 @@ class TestPairOperator:
         pairs = inst._pairs
         assert (pairs is not None) == built
         if built:
-            assert pairs.nnz <= 4 * a.nnz
-            assert pairs.data.nbytes + pairs.indices.nbytes <= 4 * a_bytes
+            assert pairs.op.nnz <= 4 * a.nnz
+            assert pairs.op.data.nbytes + pairs.op.indices.nbytes <= 4 * a_bytes
             # 5.9x measured, 6.1x in steps of 2^17 pairs; 40 B per pair: 10.5x
             assert peak < 6 * a_bytes
         else:
@@ -584,10 +640,15 @@ class TestPairOperator:
         assert builds == [(600, 6)]
         pairs = inst._pairs
         assert pairs is inst._pairs
-        for buf in (pairs.data, pairs.indices, pairs.indptr):
-            assert not buf.flags.writeable
+        # P^T shares P's buffers: the sweep constants add O(n^2), not O(nnz).
+        for op in (pairs.op, pairs.op_t):
+            for buf in (op.data, op.indices, op.indptr):
+                assert not buf.flags.writeable
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(pairs.op_t, name), getattr(pairs.op, name))
+        assert not pairs.mirror.flags.writeable and not pairs.double.flags.writeable
         with pytest.raises(ValueError):
-            pairs.data[0] = 0.0
+            pairs.op.data[0] = 0.0
 
     def test_fixed_point_solve_is_bitwise_deterministic(self):
         matrix = sp.csr_array(_sparse_rows(2000, 10, 0.8, seed=12))

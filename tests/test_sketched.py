@@ -26,7 +26,7 @@ from johnellip import (
     parse_generator_spec,
     sketched_solve,
 )
-from johnellip import fixed_point, sketched
+from johnellip import core, fixed_point, sketched
 from johnellip.sketched import _sketch_step
 
 
@@ -240,6 +240,32 @@ class TestSingleStep:
             tracemalloc.stop()
         assert estimate.shape == (inst.m,)
         assert peak < 4 * 2**20
+
+    def test_csr_draw_is_not_copied(self):
+        # scipy's whole S @ A copies the 160 x 17637 draw (21.6 MiB peak);
+        # core._left_product copies 16 of its rows at a time (2.2 MiB).
+        inst = generate(parse_generator_spec("sparse-bernoulli:20000x20:density=0.1"))
+        assert inst.is_sparse
+        w = np.full(inst.m, inst.n / inst.m)
+        buffer = np.empty((160, inst.m))
+        tracemalloc.start()
+        try:
+            _sketch_step(inst, w, 160, np.random.default_rng(0), buffer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 37, 160])
+    def test_csr_left_product_matches_scipy_bitwise(self, rows):
+        # Chunks of 16 rows, the last one ragged unless rows is a multiple
+        # of 16: every entry is scipy's sum in scipy's order and layout.
+        inst = generate(parse_generator_spec("sparse-bernoulli:3000x20:density=0.2:seed=3"))
+        left = np.random.default_rng(rows).standard_normal((rows, inst.m))
+        expected = left @ inst.matrix
+        product = core._left_product(inst, left)
+        assert np.array_equal(product, expected)
+        assert product.flags.f_contiguous == expected.flags.f_contiguous
 
     def test_error_shrinks_with_sketch_size(self, diamond):
         uniform = np.full(4, 0.5)
