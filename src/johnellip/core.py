@@ -1,60 +1,21 @@
 """Constraint storage and the weighted-Gram / leverage-score kernel.
 
 Everything in this package works on the centrally symmetric polytope
-``{x : -1 <= A x <= 1}`` given by an m-by-n constraint matrix A with full
-column rank.  The primitives below are shared by both solvers and the
-verification layer:
+``{x : -1 <= A x <= 1}`` given by an m-by-n constraint matrix A of full
+column rank, stored dense row-major or as CSR, float64, and immutable once
+validated (:func:`build_instance`, :func:`_adopt`).  This module owns:
 
-* the weighted Gram matrix ``Q(w) = sum_i w_i a_i a_i^T`` and its Cholesky
-  factor, held with ``logdet`` and, formed on first use, ``L^{-1}`` and
-  ``Q^{-1}`` in one :class:`EllipsoidQuadratic` per weight vector,
-* the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i`` (leverage scores of row i
-  of ``sqrt(W) A`` divided by ``w_i``), read off that one factor by
-  :func:`_scores`: :func:`_graded` keeps the factor for every grade in
-  ``certification``, and ``leverage_scores``, called once per solver
-  sweep, takes the factor from :func:`_factor` without building an
-  :class:`EllipsoidQuadratic` it would throw away.
+* the weighted Gram ``Q(w) = sum_i w_i a_i a_i^T``, its Cholesky factor and
+  the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i``, one factorization per
+  weight vector (:class:`EllipsoidQuadratic`, :func:`_graded`,
+  :func:`leverage_scores`);
+* every pass over ``A``.  :func:`_row_blocks` alone cuts ``A`` into row
+  blocks within the scratch budget ``_BLOCK_ELEMENTS``, reduced per row by
+  :func:`_row_norms` or per column by :func:`_column_maxima`; CSR with
+  sparse rows sweeps through its row-pair operator ``P`` (:class:`_Pairs`)
+  instead.  How ``A`` is stored matters to this module alone.
 
-Each Gram product is exactly symmetric as it comes out (numpy's dense
-``B^T B`` is a syrk, scipy's sparse one sums ``(j, k)`` and ``(k, j)`` in the
-same order, ``P^T w`` fills one triangle that is then mirrored), so none is
-averaged with its transpose, which would overflow once an entry passed half
-the float64 range.  Read-only buffers are locked by :func:`_lock` and sparse
-index widths chosen by :func:`_index_dtype`, here and in ``mmio``.
-
-Dense matrices are stored row-major, sparse ones in CSR.  All arrays are
-float64 and instances are immutable after construction.  ``Q(w)`` is linear
-in w, so a CSR instance whose rows are sparse also carries, built on first
-use, the operator ``P`` of its rows' pairwise products ``a_ij a_ik``: the
-Gram is then ``P^T w`` and the scores ``P vec(U)`` for a small ``n x n``
-matrix ``U``, two sparse mat-vecs per sweep.  ``P^T`` and the ``n x n``
-constants that mirror ``P^T w`` into ``Q`` and form ``U`` are built with
-``P`` (:class:`_Pairs`), so a sweep builds no scipy object and takes no
-triangle or diagonal copies of its own.  Every other product of ``A``
-with a small dense matrix is formed block by block by :func:`_product`,
-reduced per row by the streamed pass :func:`_row_norms` (the scores, the
-sketched sweep's image norms) or per column by :func:`_column_maxima`
-(containment sampling in ``certification``), which, where its first row
-block shows it pays, visits rows by decreasing norm and skips those whose
-norm bound shows they cannot raise a maximum; so how ``A`` is stored
-matters to this module alone.
-:func:`_row_blocks` is the one place ``A`` is cut into row blocks, in
-storage order or in a given row order; both passes and the dense Gram walk
-it.  Every pass over ``A`` shares one scratch budget,
-``_BLOCK_ELEMENTS`` (about 1 MiB): the walker's blocks and the build of
-``P``'s chunks are sized from it, so none allocates an ``m x n``, ``m x s``
-or ``m x samples`` array.  One CSR product outside those passes does: the
-Gram of CSR whose rows are too dense for ``P`` builds a sparse
-``sqrt(W) A`` and ``B^T B`` on every sweep (15.5 MiB for a 5-sweep solve
-of ``sparse-bernoulli:50000x40:density=0.3``, whose ``A`` is 7.1 MiB).
-The sketched sweep's ``S sqrt(W) A`` is formed by :func:`_left_product`,
-which on CSR copies ``_LEFT_CHUNK_ROWS`` rows of the ``s x m`` draw at a
-time, not the whole draw as scipy's product would.  The dense zero-row
-check needs no blocks: it is one ``np.any`` reduction, which allocates only
-its ``m`` results.
-Every dense BLAS and LAPACK call of the solvers and the verification layer
-goes through numpy; scipy's LAPACK is used once per instance, for the rank
-check when an instance is built (:func:`build_instance`, :func:`_adopt`).
+README "Memory" states what each call holds; the docstrings below say how.
 """
 
 from __future__ import annotations
@@ -341,7 +302,8 @@ def _check_full_column_rank(g: np.ndarray) -> None:
         raise LinAlgError(f"dpstrf failed with info={info}")
     if rank < g.shape[0]:
         raise RankDeficientError(
-            f"constraint matrix has column rank {int(rank)} < {g.shape[0]}"
+            f"only {int(rank)} of {g.shape[0]} pivots of A^T A, with columns scaled to "
+            f"unit norm, exceed RANK_PIVOT_RTOL * n = {tol:.1e}"
         )
 
 
@@ -397,9 +359,8 @@ def validate_weights(w, m: int) -> np.ndarray:
         return arr
     if not np.all(np.isfinite(arr)):
         raise DomainError("weight vector has non-finite entries")
-    if np.any(arr < 0.0):
-        raise DomainError("weight vector has negative entries")
-    return arr
+    # Every entry is finite, so the min/max pass failed on a negative one.
+    raise DomainError("weight vector has negative entries")
 
 
 def _pair_operator(a: sp.csr_array) -> _Pairs | None:

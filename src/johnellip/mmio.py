@@ -112,16 +112,11 @@ def _read_preamble(numbered) -> tuple[str, int, int, int, int]:
     else:
         raise ParseError("missing size line")
 
-    if layout == "coordinate":
-        tokens = _tokens(size_text, size_lineno, 3, "size")
-        m = _to_int(tokens[0], size_lineno, "row count")
-        n = _to_int(tokens[1], size_lineno, "column count")
-        count = _to_int(tokens[2], size_lineno, "entry count")
-    else:
-        tokens = _tokens(size_text, size_lineno, 2, "size")
-        m = _to_int(tokens[0], size_lineno, "row count")
-        n = _to_int(tokens[1], size_lineno, "column count")
-        count = m * n
+    coordinate = layout == "coordinate"
+    tokens = _tokens(size_text, size_lineno, 3 if coordinate else 2, "size")
+    m = _to_int(tokens[0], size_lineno, "row count")
+    n = _to_int(tokens[1], size_lineno, "column count")
+    count = _to_int(tokens[2], size_lineno, "entry count") if coordinate else m * n
     return layout, m, n, count, size_lineno
 
 

@@ -112,11 +112,10 @@ def _sketch_step(
     ``rows x m`` float64 buffer) when one is given and scaled there in
     place, so repeated sweeps reuse one block, the only scratch that grows
     as ``m x rows``: ``S B`` comes from ``core._left_product``, which on CSR
-    copies 16 rows of the draw at a time where scipy's whole product copied
-    all of it.  One sweep at ``rows = 160`` with the buffer passed in peaked
-    under tracemalloc at 1.22 MiB for ``gaussian-dense:20000x20`` and at
-    2.22 MiB for ``sparse-bernoulli:20000x20:density=0.1`` (21.56 MiB with
-    scipy's whole product).
+    copies 16 rows of the draw at a time.  One sweep at ``rows = 160`` with
+    the buffer passed in peaked under tracemalloc at 1.22 MiB for
+    ``gaussian-dense:20000x20`` and at 2.22 MiB for
+    ``sparse-bernoulli:20000x20:density=0.1``.
     """
     quad = cholesky_of_weighted_gram(inst, w)
     scaled = rng.standard_normal((rows, inst.m), out=out)

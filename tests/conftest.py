@@ -5,6 +5,8 @@ LU-based determinants (``numpy.linalg``) so that expected values in the
 tests never come from the triangular-solve kernel under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,17 @@ def diamond():
 def gaussian(m, n, seed):
     """Dense seeded random instance."""
     return generate(GeneratorSpec("gaussian-dense", m, n, seed=seed))
+
+
+def peak_bytes(call):
+    """``call()``'s result and the tracemalloc peak, in bytes, of what it allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def reference_scores(matrix, w):

@@ -6,13 +6,19 @@ so agreement is evidence neither implementation is self-consistent-but-wrong.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import DIAMOND_OPTIMUM, DIAMOND_ROWS, gaussian, reference_logdet, reference_scores
+from conftest import (
+    DIAMOND_OPTIMUM,
+    DIAMOND_ROWS,
+    gaussian,
+    peak_bytes,
+    reference_logdet,
+    reference_scores,
+)
 from johnellip import (
     DomainError,
     FixedPointConfig,
@@ -379,12 +385,7 @@ class TestContainment:
         # A dense m x samples block would take 20000 * 1000 * 8 B = 153 MiB.
         inst = gaussian(20000, 20, seed=4)
         w = np.full(20000, 20 / 20000)
-        tracemalloc.start()
-        try:
-            result = containment_check(inst, w, 1000, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = peak_bytes(lambda: containment_check(inst, w, 1000, seed=1))
         assert result.inner_pass and result.outer_pass
         assert peak < 32 * 2**20
 
@@ -400,12 +401,7 @@ class TestContainment:
             inst = generate(GeneratorSpec("sparse-bernoulli", 20000, 20, density=0.1, seed=4))
         w = np.full(inst.m, 20 / inst.m)
         assert (inst._pairs is not None) == (storage == "csr")
-        tracemalloc.start()
-        try:
-            report = certify(inst, w, 0.5, containment_samples=1000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = peak_bytes(lambda: certify(inst, w, 0.5, containment_samples=1000))
         assert report.containment_samples == 1000
         assert report.containment_inner_pass and report.containment_outer_pass
         assert peak < 2.25 * 2**20

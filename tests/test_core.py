@@ -1,7 +1,6 @@
 """Instance construction, validation, and the weighted-Gram/score kernel."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +14,7 @@ from conftest import (
     DIAMOND_ROWS,
     DIAMOND_OPTIMUM,
     gaussian,
+    peak_bytes,
     qr_reference_scores,
     reference_scores,
 )
@@ -54,6 +54,22 @@ class TestBuildInstance:
         base = np.random.default_rng(0).standard_normal((6, 2))
         matrix = np.column_stack([base, base[:, 0] + base[:, 1]])
         with pytest.raises(RankDeficientError):
+            build_instance(matrix)
+
+    def test_rank_message_states_the_pivot_count(self):
+        # Full numerical rank at condition number 1e6, but A^T A squares it
+        # past the pivot cutoff: the error states what dpstrf measured, not a
+        # column rank of A.
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((3000, 30)))
+        v, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        matrix = (u * np.logspace(0, -6, 30)) @ v.T * np.sqrt(3000)
+        assert np.linalg.matrix_rank(matrix) == 30
+        stated = (
+            r"^only \d+ of 30 pivots of A\^T A, with columns scaled to unit norm, "
+            r"exceed RANK_PIVOT_RTOL \* n = 3\.0e-09$"
+        )
+        with pytest.raises(RankDeficientError, match=stated):
             build_instance(matrix)
 
     def test_badly_scaled_columns_accepted(self):
@@ -332,12 +348,7 @@ class TestWeightedGram:
         inst = gaussian(20000, 50, seed=3)
         w = np.full(20000, 50 / 20000)
         kernel(inst, w)
-        tracemalloc.start()
-        try:
-            kernel(inst, w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: kernel(inst, w))
         assert peak < 2 * 2**20
 
     def test_factor_buffers_locked(self, diamond):
@@ -533,12 +544,7 @@ class TestPairOperator:
         inst = build_instance(matrix)
         a = inst.matrix
         a_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
-        tracemalloc.start()
-        try:
-            leverage_scores(inst, np.full(m, n / m))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: leverage_scores(inst, np.full(m, n / m)))
         pairs = inst._pairs
         assert (pairs is not None) == built
         if built:
@@ -566,12 +572,7 @@ class TestPairOperator:
         a = inst.matrix
         a_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
         w = rng.uniform(0.1, 2.0, m)
-        tracemalloc.start()
-        try:
-            sigma = leverage_scores(inst, w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        sigma, peak = peak_bytes(lambda: leverage_scores(inst, w))
         assert (inst._pairs is not None) == built
         assert peak < (7 if built else 3) * a_bytes
         r = np.zeros((0, n))

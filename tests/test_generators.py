@@ -1,12 +1,11 @@
 """Instance generators and the CLI spec grammar."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import DIAMOND_ROWS
+from conftest import DIAMOND_ROWS, peak_bytes
 from johnellip import (
     FAMILIES,
     DomainError,
@@ -80,12 +79,9 @@ class TestRandomFamilies:
         # The draw is validated and locked in place: one m x n array, plus
         # the zero-row check's m results (1.015x measured).  Copying the
         # draw would peak above 2x, an m x n mask at 1.13x.
-        tracemalloc.start()
-        try:
-            inst = generate(GeneratorSpec("gaussian-dense", m=20000, n=50, seed=0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        inst, peak = peak_bytes(
+            lambda: generate(GeneratorSpec("gaussian-dense", m=20000, n=50, seed=0))
+        )
         assert peak < 1.05 * inst.matrix.nbytes
         assert inst.matrix.flags.c_contiguous and not inst.matrix.flags.writeable
 

@@ -1,13 +1,13 @@
 """Matrix Market round-trips and strict rejection of unsupported variants."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import peak_bytes
 from johnellip import (
     DimensionError,
     GeneratorSpec,
@@ -149,12 +149,7 @@ class TestRoundTrip:
         drawn = generate(GeneratorSpec("sparse-bernoulli", 50000, 40, density=0.05, seed=0))
         path = tmp_path / "sparse.mtx"
         write_matrix_market(path, drawn)
-        tracemalloc.start()
-        try:
-            back = read_matrix_market(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        back, peak = peak_bytes(lambda: read_matrix_market(path))
         a, b = back.matrix, drawn.matrix
         assert a.indices.dtype == a.indptr.dtype == np.int32
         assert a.shape == b.shape
@@ -487,13 +482,7 @@ def error_of(call, *args):
 
 def read_peak(path):
     """The error reading ``path`` raises, and the tracemalloc peak in bytes."""
-    tracemalloc.start()
-    try:
-        error = error_of(read_matrix_market, path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return error, peak
+    return peak_bytes(lambda: error_of(read_matrix_market, path))
 
 
 class TestMoreRowsThanEntries:
@@ -521,11 +510,6 @@ def test_read_peak_per_stored_entry(tmp_path):
     drawn = generate(GeneratorSpec("sparse-bernoulli", 20000, 40, density=0.05, seed=0))
     path = tmp_path / "sparse.mtx"
     write_matrix_market(path, drawn)
-    tracemalloc.start()
-    try:
-        read_matrix_market(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: read_matrix_market(path))
     per_entry = peak / drawn.matrix.nnz
     assert per_entry <= 64, f"{per_entry:.1f} bytes per stored entry"

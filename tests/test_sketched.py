@@ -6,13 +6,12 @@ consumption order is part of the solver's documented contract.
 
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import gaussian, reference_scores
+from conftest import gaussian, peak_bytes, reference_scores
 from johnellip import (
     DomainError,
     SketchConfig,
@@ -232,12 +231,9 @@ class TestSingleStep:
         inst = gaussian(20000, 20, seed=0)
         w = np.full(inst.m, 20 / inst.m)
         buffer = np.empty((160, inst.m))
-        tracemalloc.start()
-        try:
-            estimate = _sketch_step(inst, w, 160, np.random.default_rng(0), buffer)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        estimate, peak = peak_bytes(
+            lambda: _sketch_step(inst, w, 160, np.random.default_rng(0), buffer)
+        )
         assert estimate.shape == (inst.m,)
         assert peak < 4 * 2**20
 
@@ -248,12 +244,7 @@ class TestSingleStep:
         assert inst.is_sparse
         w = np.full(inst.m, inst.n / inst.m)
         buffer = np.empty((160, inst.m))
-        tracemalloc.start()
-        try:
-            _sketch_step(inst, w, 160, np.random.default_rng(0), buffer)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: _sketch_step(inst, w, 160, np.random.default_rng(0), buffer))
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 37, 160])
