@@ -19,6 +19,7 @@ from .core import (
     PolytopeInstance,
     _column_maxima,
     _graded,
+    _screened_maxima,
     cholesky_of_weighted_gram,
     validate_weights,
 )
@@ -184,6 +185,11 @@ def containment_check(
     block of about 1 MiB.  Where its first block shows that many rows cannot
     set a maximum, it visits rows by decreasing norm and stops each
     direction once no unvisited row's norm bound can exceed its maximum.
+    Otherwise, on dense ``A``, the other blocks are multiplied in float32
+    (``core._screened_maxima``), giving each maximum to within a proven
+    bound E.  A sample whose tests pass with its maximum raised by E
+    (inner) and lowered by E (outer) passes them exactly; only the other
+    samples take the exact pass, and the counts are the exact pass's.
     Scratch memory is that block (two for dense rows in norm order) plus
     O(n * samples), and, in norm order, the O(m) row bounds and order;
     never m x samples.
@@ -201,27 +207,48 @@ def _containment(
     samples: int,
     seed: int,
 ) -> ContainmentResult:
-    # Body of containment_check, for callers that already hold Q(w)'s factor
-    # and eps_hat = max sigma(w) - 1.
+    """Body of :func:`containment_check`, for callers that already hold
+    ``Q(w)``'s factor and ``eps_hat = max sigma(w) - 1``.
+
+    Sample j passes when ``M_j / scale_j <= 1 + slack`` (inner) and
+    ``||L^T u_j / M_j||^2 <= n + slack`` (outer), where ``M_j`` is the
+    maximum of ``|A u_j|`` that ``core._column_maxima`` computes.
+    ``core._screened_maxima`` gives ``M~_j`` with ``|M~_j - M_j| <= E``.
+    Both tests are evaluated as always, the inner one at ``M~_j + E`` and
+    the outer one at ``M~_j - E``, by the same operations on arrays of the
+    same shape.  Rounding is monotone, so each computed test value is
+    monotone in the maximum it is given, and a sample that passes both
+    there, with ``M~_j - E > 0``, passes both at ``M_j``: it is decided.  NaN
+    and inf fail the tests, so they never decide a sample.  The undecided
+    samples alone get ``M_j`` from ``core._column_maxima`` and are counted
+    from it, so the counts are those of the exact pass.
+    """
     n = inst.n
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n, samples))
     u /= np.linalg.norm(u, axis=0)
 
-    au_inf = _column_maxima(inst, u)
-
+    approx, error = _screened_maxima(inst, u)
     # x = u / scale with scale = sqrt(1+eps_hat) * ||L^T u||, so
     # x^T Q x = 1/(1+eps_hat) and ||A x||_inf = ||A u||_inf / scale.
     lt_u = quad.L.T @ u
     scale = np.sqrt(1.0 + eps_hat) * np.linalg.norm(lt_u, axis=0)
-    inner_inf = au_inf / scale
-    inner_violations = int(np.count_nonzero(inner_inf > 1.0 + CONTAINMENT_SLACK))
+    upper = lower = approx
+    if error > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper, lower = approx + error, approx - error
+            decided = lower > 0.0
+            decided &= upper / scale <= 1.0 + CONTAINMENT_SLACK
+            # inf for the samples already undecided: no division by lower <= 0.
+            outer = _outer_values(lt_u, np.where(decided, lower, np.inf))
+            decided &= outer <= n + CONTAINMENT_SLACK
+        undecided = np.flatnonzero(~decided)
+        if undecided.size:
+            exact = _column_maxima(inst, u if undecided.size == samples else u[:, undecided])
+            upper[undecided] = lower[undecided] = exact
 
-    # y = u / ||A u||_inf, so L^T y = L^T u / ||A u||_inf.
-    lt_y = lt_u / au_inf
-    outer_val = np.einsum("ij,ij->j", lt_y, lt_y)
-    outer_violations = int(np.count_nonzero(outer_val > n + CONTAINMENT_SLACK))
-
+    inner_violations = int(np.count_nonzero(upper / scale > 1.0 + CONTAINMENT_SLACK))
+    outer_violations = int(np.count_nonzero(_outer_values(lt_u, lower) > n + CONTAINMENT_SLACK))
     return ContainmentResult(
         inner_pass=inner_violations == 0,
         outer_pass=outer_violations == 0,
@@ -229,6 +256,12 @@ def _containment(
         outer_violations=outer_violations,
         samples=samples,
     )
+
+
+def _outer_values(lt_u: np.ndarray, au_inf: np.ndarray) -> np.ndarray:
+    # y^T Q y for y = u / ||A u||_inf, as ||L^T y||^2 with L^T y = L^T u / ||A u||_inf.
+    lt_y = lt_u / au_inf
+    return np.einsum("ij,ij->j", lt_y, lt_y)
 
 
 @dataclass(frozen=True)

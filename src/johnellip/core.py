@@ -11,7 +11,8 @@ validated (:func:`build_instance`, :func:`_adopt`).  This module owns:
   :func:`leverage_scores`);
 * every pass over ``A``.  :func:`_row_blocks` alone cuts ``A`` into row
   blocks within the scratch budget ``_BLOCK_ELEMENTS``, reduced per row by
-  :func:`_row_norms` or per column by :func:`_column_maxima`; CSR with
+  :func:`_row_norms` or per column by :func:`_column_maxima` (and, mostly
+  in float32 within a proven bound, :func:`_screened_maxima`); CSR with
   sparse rows sweeps through its row-pair operator ``P`` (:class:`_Pairs`)
   instead.  How ``A`` is stored matters to this module alone.
 
@@ -20,6 +21,7 @@ README "Memory" states what each call holds; the docstrings below say how.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -80,6 +82,10 @@ _SQUARED_NORM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # that.  P's sweep is the faster one at every row density, so memory alone
 # sets the cut.
 _PAIRS_PER_NONZERO = 4
+# _screened_maxima multiplies in float32 only up to this many columns, where
+# its error bound holds (it needs n * 2^-24 well below 1); wider dense A
+# keeps the exact pass.
+_SCREEN_MAX_COLUMNS = 2**20
 # _left_product forms S @ A for CSR A this many rows of S at a time.  scipy
 # copies each slice of S it is given, so the slice, not S, is the scratch.
 # At sparse-bernoulli 50000x40, density 0.05, s = 160, 16 rows took 19.6 ms
@@ -412,9 +418,11 @@ def _pair_operator(a: sp.csr_array) -> _Pairs | None:
     return _Pairs(op, op.T, _lock(mirror), _lock(double))
 
 
-def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = None):
-    """Yield ``(start, block, out)`` over the row blocks of ``A``: the one
-    place ``A`` is cut into rows.
+def _row_blocks(
+    inst: PolytopeInstance, width: int, order: np.ndarray | None = None, begin: int = 0
+):
+    """Yield ``(start, block, out)`` over the row blocks of ``A`` from row
+    ``begin`` on: the one place ``A`` is cut into rows.
 
     A block takes ``max(1, _BLOCK_ELEMENTS // width)`` rows, so a product or
     copy of ``width`` elements per row fits the scratch budget, and ``out``
@@ -440,7 +448,7 @@ def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = N
     dense = not inst.is_sparse
     scratch = np.empty((rows, width)) if dense else None
     gathered = np.empty((rows, inst.n)) if dense and order is not None else None
-    for start in range(0, m, rows):
+    for start in range(begin, m, rows):
         stop = min(start + rows, m)
         if dense:
             if order is None:
@@ -573,6 +581,58 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     pass redone in norm order (the first block's rows then change no
     maximum).  Otherwise storage order continues, on views of ``A``.
     """
+    return _maxima(inst, right, screen=False)[0]
+
+
+def _screened_maxima(inst: PolytopeInstance, right: np.ndarray) -> tuple[np.ndarray, float]:
+    """Column maxima of ``|A right|`` as ``(approx, E)``: each ``approx[j]``
+    is within ``E`` of the maximum ``M_j`` that :func:`_column_maxima`
+    computes for any set of columns holding ``right_j``, and most of ``A``
+    is multiplied in float32.
+
+    Dense ``A`` is probed as in :func:`_column_maxima`.  If the probe picks
+    norm order, or ``A`` is CSR or wider than ``_SCREEN_MAX_COLUMNS``, the
+    maxima are exact and ``E = 0``.  Otherwise the first block's float64
+    maxima are kept, and the remaining storage-order blocks are cast to
+    float32 with ``right`` and multiplied there.  Each column of the float32
+    product is reduced by ``max`` and ``min``, and ``approx[j]`` is the
+    largest of the first block's maximum, the largest float32 product and
+    minus the smallest.  ``E`` is the same for every column:
+
+        E = (1 + 2^-20) (g (1 + v)^2 + 2v + v^2 + G) N S + (1 + S) n 2^-122,
+
+    with ``v = 2^-24`` and ``g = gamma_n = nv / (1 - nv)`` in float32,
+    ``G = gamma_n`` in float64 (u = 2^-53), ``N`` the largest computed row
+    norm of ``A`` and ``S`` the scale of :func:`_column_maxima` (at least
+    the largest ``||right_j||``).  For row ``a`` and column ``r``, the casts
+    give ``a'_k = a_k (1 + d_k)`` and ``r'_k = r_k (1 + e_k)`` with ``|d_k|,
+    |e_k| <= v``, so ``|a'^T r' - a^T r| <= (2v + v^2) |a|^T |r|``.  The
+    float32 dot product of length n, in any order, with or without FMA, is
+    within ``g |a'|^T |r'| <= g (1 + v)^2 |a|^T |r|`` of ``a'^T r'``, and
+    the float64 product that ``M_j`` takes is within ``G |a|^T |r|`` of
+    ``a^T r`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., ch. 3).  The first block's rows are float64 on both sides, so
+    within ``2G |a|^T |r|`` of each other, less than the float32 rows'
+    coefficient since ``g >= G``.  ``|a|^T |r| <= ||a|| ||r||`` by
+    Cauchy-Schwarz, and two maxima differ by at most the largest difference
+    of the values they are taken over (``max`` and ``min`` are exact).  The
+    factor ``1 + 2^-20`` covers the computed norms, each at least ``(1 -
+    G)(1 - u)`` times the true one, and the roundings of forming ``E``, for
+    ``n <= _SCREEN_MAX_COLUMNS``.  The absolute term covers float32
+    underflow: a cast, product or sum that underflows, or is flushed to
+    zero, errs by at most ``2^-126``, which adds at most ``(sqrt(n) S + 2n)
+    2^-126`` to a float32 product; float64 underflow in ``M_j`` and in the
+    norms is far smaller.  An entry outside float32's range casts to
+    ``inf`` or to zero: the first makes ``approx[j]`` ``inf`` or NaN, and
+    the second stays inside the absolute term.  The float32 products may
+    vary with the BLAS thread count; ``E`` covers every order.
+    """
+    screen = not inst.is_sparse and inst.n <= _SCREEN_MAX_COLUMNS
+    return _maxima(inst, right, screen)
+
+
+def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np.ndarray, float]:
+    # The pass of _column_maxima (screen=False, E = 0) and _screened_maxima.
     samples = right.shape[1]
     maxima = np.zeros(samples)
     margin = 1.0 + 4 * (inst.n + 2) * np.finfo(float).eps
@@ -588,11 +648,15 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
             # pass never needs (0.3 MiB more peak RSS on dense inputs).
             first = _product_bounds(block, scale)
             below = np.count_nonzero(first[:, None] < maxima)
-            if below >= _NORM_ORDER_SHARE * first.size * samples:
+            norm_order = below >= _NORM_ORDER_SHARE * first.size * samples
+            if norm_order or screen:
                 break
     else:
-        return maxima
-    del blocks, block, out
+        return maxima, 0.0
+    rows = block.shape[0]
+    del blocks, block, out  # the float64 scratch block is freed here
+    if not norm_order:
+        return _float32_maxima(inst, right, maxima, rows, scale)
 
     bounds = _product_bounds(inst.matrix, scale)
     order = np.argsort(bounds)[::-1]
@@ -612,7 +676,38 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
         if 2 * count <= live.size:
             live = live[alive]
             columns = right[:, live]
-    return maxima
+    return maxima, 0.0
+
+
+def _float32_maxima(
+    inst: PolytopeInstance, right: np.ndarray, maxima: np.ndarray, begin: int, scale: float
+) -> tuple[np.ndarray, float]:
+    # _screened_maxima's float32 pass over rows begin.. of dense A, given the
+    # float64 maxima of rows ..begin.  Entries outside float32's range turn
+    # into inf, NaN or zero here by design, so their warnings are silenced.
+    samples, n = right.shape[1], inst.n
+    head = inst.matrix[:begin]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        squared = float(np.einsum("ij,ij->i", head, head).max())
+        right32 = right.astype(np.float32)
+        top = np.full(samples, -np.inf, dtype=np.float32)
+        bottom = np.full(samples, np.inf, dtype=np.float32)
+        # A float32 row of `samples` products fills half as many of the
+        # budget's 8-byte elements, so these blocks take twice the rows.
+        for start, block, out in _row_blocks(inst, -(-samples // 2), begin=begin):
+            size = block.shape[0] * samples
+            x = out.reshape(-1).view(np.float32)[:size].reshape(-1, samples)
+            np.matmul(block.astype(np.float32), right32, out=x)
+            np.maximum(top, x.max(axis=0), out=top)
+            np.minimum(bottom, x.min(axis=0), out=bottom)
+            squared = max(squared, float(np.einsum("ij,ij->i", block, block).max()))
+        np.maximum(maxima, top, out=maxima)
+        np.maximum(maxima, -bottom, out=maxima)
+        v, u = 2.0**-24, np.finfo(float).eps / 2
+        g, big_g = n * v / (1 - n * v), n * u / (1 - n * u)
+        coef = (1 + 2.0**-20) * (g * (1 + v) ** 2 + 2 * v + v * v + big_g)
+        error = coef * math.sqrt(squared) * scale + (1.0 + scale) * n * 2.0**-122
+    return maxima, error
 
 
 def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:

@@ -407,6 +407,148 @@ class TestContainment:
         assert peak < 2.25 * 2**20
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFloat32Screen:
+    """Containment decides most samples from float32 maxima within a proven
+    bound E of the exact ones, and sends the rest to the exact pass.  A
+    numpy warning fails these tests: out-of-range casts are silenced."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        # What the screen returned, and the directions the exact pass got.
+        seen = {"screened": [], "exact": []}
+        screen, exact = certification._screened_maxima, certification._column_maxima
+
+        def screened(inst, right):
+            approx, error = screen(inst, right)
+            seen["screened"].append((approx.copy(), error))
+            return approx, error
+
+        def column_maxima(inst, right):
+            seen["exact"].append(right.copy())
+            return exact(inst, right)
+
+        monkeypatch.setattr(certification, "_screened_maxima", screened)
+        monkeypatch.setattr(certification, "_column_maxima", column_maxima)
+        return seen
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            *(
+                f"{name}-dense"
+                for name in (
+                    "sparse-2000x8",
+                    "column-scales",
+                    "parallel",
+                    "tie",
+                    "one-sample",
+                    "below-one-block",
+                    "two-blocks",
+                    "subnormal-squares",
+                    "unit-rows",
+                    "gaussian",
+                )
+            ),
+            *(f"scales-1e30-seed{seed}" for seed in range(4)),
+        ],
+    )
+    def test_error_bound(self, case):
+        if case.startswith("scales-1e30"):
+            # Column scales drawn from logspace(-30, 30); odd seeds also
+            # normalize the rows, so storage order and float32 are taken.
+            seed = int(case[-1])
+            rng = np.random.default_rng(seed)
+            dense = rng.standard_normal((3000, 10))
+            dense *= rng.choice(np.logspace(-30, 30, 61), 10)
+            if seed % 2:
+                dense /= np.linalg.norm(dense, axis=1)[:, None]
+            u = rng.standard_normal((10, 1000))
+        else:
+            dense, u, _ = TestContainment.column_maxima_case(case)
+        u /= np.linalg.norm(u, axis=0)
+        inst = build_instance(dense)
+        approx, error = core._screened_maxima(inst, u)
+        exact = core._column_maxima(inst, u)
+        assert np.all(np.abs(approx - exact) <= error)
+        screened = case in ("parallel-dense", "unit-rows-dense", "gaussian-dense")
+        if screened or case in ("subnormal-squares-dense", "scales-1e30-seed1"):
+            assert error > 0.0  # the float32 pass ran
+        if screened:
+            assert error < 1e-4 * exact.min()
+
+    @pytest.mark.parametrize("offset", [None, 1e-9, -1e-9])
+    def test_verdicts_near_threshold(self, offset, monkeypatch):
+        # check_violation_counts's mass-3n instance, and weights rescaled
+        # so that one sample's outer value y^T Q y is n (1 + offset): eight
+        # samples in turn, each within 1e-6 relative of n, where float32
+        # maxima alone cannot tell the side.  Scaling w leaves the inner
+        # values alone.
+        rng = np.random.default_rng(7)
+        dense = rng.standard_normal((300, 3))
+        dense /= np.linalg.norm(dense, axis=1)[:, None]
+        w = rng.uniform(0.5, 1.5, 300)
+        w *= 9.0 / w.sum()
+        inst = build_instance(dense)
+        u = np.random.default_rng(11).standard_normal((3, 4000))
+        u /= np.linalg.norm(u, axis=0)
+        y = u / np.abs(dense @ u).max(axis=0)
+        outer = np.einsum("ij,ij->j", y, (dense.T @ (dense * w[:, None])) @ y)
+        seen = self.spy(monkeypatch)
+        for k in [None] if offset is None else np.argsort(np.abs(outer - 3.0))[:8]:
+            scaled = w if k is None else w * (3.0 * (1.0 + offset) / outer[k])
+            result = containment_check(inst, scaled, 4000, seed=11)
+            inner, outer_count = reference_containment_counts(dense, scaled, 4000, seed=11)
+            assert (result.inner_violations, result.outer_violations) == (inner, outer_count)
+            assert seen["screened"][-1][1] > 0.0  # the float32 pass ran
+            if k is None:
+                assert outer_count > 0
+            else:
+                # The sample near the threshold took the exact pass.
+                assert (seen["exact"][-1] == u[:, k : k + 1]).all(axis=0).any()
+
+    @pytest.mark.parametrize(
+        "case", ["huge-column", "near-1e39", "near-1e-46", "subnormal-squares"]
+    )
+    def test_out_of_float32_range_takes_the_exact_pass(self, case, monkeypatch):
+        # Entries float32 cannot hold cast to inf or to zero.  The screen
+        # then decides nothing, quietly, and every sample takes the exact
+        # pass.  Unit rows keep the pass in storage order, where the
+        # float32 pass runs.
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((400, 3))
+        dense /= np.linalg.norm(dense, axis=1)[:, None]
+        if case == "huge-column":
+            dense[200] = [1.2e154, 0.0, 1.0]  # huge.mtx's column, past the first block
+        elif case == "near-1e39":
+            dense *= 1e39
+        elif case == "near-1e-46":
+            dense *= 1e-46
+        else:
+            dense, _, _ = TestContainment.column_maxima_case("subnormal-squares-dense")
+        inst = build_instance(dense)
+        w = np.full(inst.m, inst.n / inst.m)
+        seen = self.spy(monkeypatch)
+        report = certify(inst, w, 0.5, containment_samples=1000)
+        (approx, error), = seen["screened"]
+        assert error > 0.0
+        with np.errstate(invalid="ignore"):
+            decidable = np.isfinite(approx + error) & (approx - error > 0.0)
+        assert not decidable.any()
+        u = np.random.default_rng(0).standard_normal((inst.n, 1000))
+        u /= np.linalg.norm(u, axis=0)
+        (right,) = seen["exact"]
+        assert np.array_equal(right, u)
+        # Every sample on the exact pass: the screen returns its maxima, E = 0.
+        monkeypatch.setattr(
+            certification,
+            "_screened_maxima",
+            lambda inst, right: (core._column_maxima(inst, right), 0.0),
+        )
+        exact = certify(inst, w, 0.5, containment_samples=1000)
+        assert report == exact
+
+
 def reference_containment_counts(dense, w, samples, seed):
     """Inner/outer violation counts from the documented draw, unblocked.
 
