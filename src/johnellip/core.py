@@ -71,11 +71,20 @@ _BLOCK_ELEMENTS = 2**17
 # and random-row gathers, and no direction retired on the dense shapes:
 # always taking it made the dense pass 10% slower at 50000x50 and 24% at
 # 1500x40 (medians of 300 alternating in-process runs, 2-vCPU Xeon VM).
+# Under Holder's l1 bound, which the walk takes when it counts more pairs
+# below than this l2 one, the same first blocks give 0.65-0.72 on
+# sparse-bernoulli at density 0.05, 0.02-0.06 at density 0.3, and at most
+# 0.0002 on the three gaussian-dense shapes.
 _NORM_ORDER_SHARE = 1 / 8
 # Rows of A whose computed squared norm is below this (2^-970) get an
 # infinite product bound in _column_maxima: above it, underflow in a dot
 # product or in the norm is far inside the bound's rounding margin.
 _SQUARED_NORM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# Its square root (2^-485) floors the two factors of the l1 bound: a row
+# whose computed l1 norm is below it gets an infinite bound, and a direction
+# factor below it is raised to it, so that every finite bound is at least
+# 2^-970.
+_NORM_FLOOR = math.sqrt(_SQUARED_NORM_FLOOR)
 # The row-pair operator P is built only when it holds at most this many
 # entries per nonzero of A (rows of about 7 nonzeros on average), so it is
 # kept at up to 4x the size of A's CSR arrays and its build peaks near twice
@@ -541,6 +550,28 @@ def _product_bounds(a, scale: float) -> np.ndarray:
     return sq
 
 
+def _l1_norms(inst: PolytopeInstance, stop: int) -> np.ndarray:
+    """``||a_i||_1`` for rows ``0..stop-1`` of ``A``, with ``inf`` where it is
+    below ``_NORM_FLOOR``.
+
+    CSR rows reduce over their ``indptr`` runs; dense rows take their
+    absolute values one block of :func:`_row_blocks` at a time, into its
+    scratch, so no ``m x n`` array is formed.
+    """
+    a = inst.matrix
+    if inst.is_sparse:
+        norms = np.add.reduceat(np.abs(a.data[: a.indptr[stop]]), a.indptr[:stop])
+    else:
+        norms = np.empty(stop)
+        for start, block, out in _row_blocks(inst, inst.n):
+            if start >= stop:
+                break
+            rows = min(block.shape[0], stop - start)
+            np.abs(block[:rows], out=out[:rows]).sum(axis=1, out=norms[start : start + rows])
+    norms[norms < _NORM_FLOOR] = np.inf
+    return norms
+
+
 def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     """``max_i |a_i^T right_j|`` for every column j of ``right``, exactly: each
     is the largest of the computed products, as an exhaustive pass over
@@ -569,17 +600,39 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     bound: nothing derived from the weights or the factor of ``Q`` prunes
     the pass, which is what containment checks.
 
-    Rows are visited in decreasing ``b_i``, and column j retires once its
-    running maximum is at least ``b`` of the next unvisited row (no later
-    row can then exceed it, so the test may be non-strict).  Once the live
-    columns are half of those being multiplied they are compacted into a
-    contiguous copy of ``right[:, live]``; the walk stops when none is live.
-    The order costs ``O(m)`` norms and an argsort, and random-row gathers,
-    which pay only when columns retire early: the first row block is walked
-    in storage order, and only if at least ``_NORM_ORDER_SHARE`` of its
-    row-column pairs have ``b_i`` below the column's running maximum is the
-    pass redone in norm order (the first block's rows then change no
-    maximum).  Otherwise storage order continues, on views of ``A``.
+    Holder's inequality gives the other bound, ``h_ij = ||a_i||_1 * c_j``
+    with ``c_j = max(||v_j||_inf * (1 + 4 (n + 2) eps), _NORM_FLOOR)``
+    (:func:`_l1_norms`): ``|fl(a^T v)| <= (1 + g) |a|^T |v| <= (1 + g)
+    ||a||_1 ||v||_inf``.  The computed ``||a_i||_1`` is a sum of at most n
+    exact absolute values, so in any order it is at least ``(1 -
+    gamma_{n-1})`` times the true one, and ``||v_j||_inf``, a maximum of
+    exact absolute values, is exact.  The margin ``1 + 8 (n + 2) u`` is
+    itself a float, so forming ``c_j`` and ``h_ij`` rounds twice, and the
+    computed ``h_ij`` is at least ``||a_i||_1 ||v_j||_inf (1 - gamma_{n-1})
+    (1 - u)^2 (1 + 8 (n + 2) u)``.  That exceeds ``(1 + g) ||a_i||_1
+    ||v_j||_inf``, since ``(1 + g) / ((1 - gamma_{n-1}) (1 - u)^2) = 1 +
+    (2n + 1) u + O((nu)^2)``: the same margin covers both bounds.  Rows
+    whose computed ``||a_i||_1`` is below ``_NORM_FLOOR`` (``2^-485``) get
+    ``h_ij = inf``, and raising ``c_j`` to the floor only loosens the
+    bound, so every finite computed ``h_ij`` is at least ``2^-970``.  There
+    both roundings are relative, and underflow's ``n 2^-1075`` in the dot
+    product is far inside the margin's slack, for columns of any norm.
+
+    Rows are visited in decreasing ``||a_i||`` or ``||a_i||_1``, and column
+    j retires once its running maximum is at least its bound on the next
+    unvisited row (rounding is monotone, so no later row's bound is larger
+    and the test may be non-strict).  Once the live columns are half of
+    those being multiplied they are compacted into a contiguous copy of
+    ``right[:, live]``; the walk stops when none is live.  The order costs
+    ``O(m)`` norms and an argsort, and random-row gathers, which pay only
+    when columns retire early: the first row block is walked in storage
+    order, and only if at least ``_NORM_ORDER_SHARE`` of its row-column
+    pairs have ``b_i`` below the column's running maximum is the pass
+    redone in norm order (the first block's rows then change no maximum).
+    Otherwise storage order continues, on views of ``A``.  The walk takes
+    Holder's bound when, on that same block, more pairs fall below their
+    running maximum under ``h`` than under ``b`` (counted as ``||a_i||_1 <
+    maximum / c_j``), and ``b`` otherwise.
     """
     return _maxima(inst, right, screen=False)[0]
 
@@ -658,7 +711,17 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
     if not norm_order:
         return _float32_maxima(inst, right, maxima, rows, scale)
 
-    bounds = _product_bounds(inst.matrix, scale)
+    # Column j's bound on row i is bounds[i] * factor[j]: Holder's
+    # ||a_i||_1 * ||u_j||_inf * margin where, on the first block, more pairs
+    # fall below their running maximum under it than under the l2 bound.
+    factor = np.maximum(right.max(axis=0), -right.min(axis=0))
+    factor *= margin
+    np.maximum(factor, _NORM_FLOOR, out=factor)
+    holder = np.count_nonzero(_l1_norms(inst, rows)[:, None] < maxima / factor) > below
+    if holder:
+        bounds = _l1_norms(inst, inst.m)
+    else:
+        bounds, factor = _product_bounds(inst.matrix, scale), np.ones(samples)
     order = np.argsort(bounds)[::-1]
     bounds = bounds[order]
     live, columns = np.arange(samples), right
@@ -669,12 +732,12 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
         stop = start + block.shape[0]
         if stop == inst.m:
             break
-        alive = maxima[live] < bounds[stop]
+        alive = maxima[live] < bounds[stop] * factor
         count = int(np.count_nonzero(alive))
         if count == 0:
             break
         if 2 * count <= live.size:
-            live = live[alive]
+            live, factor = live[alive], factor[alive]
             columns = right[:, live]
     return maxima, 0.0
 

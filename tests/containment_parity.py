@@ -1,17 +1,22 @@
-"""Containment's float32 screen against the exact pass on the benchmark workloads.
+"""Containment's shortcuts against the passes they stand in for, on the
+benchmark workloads.
 
 For each workload in ``perfbench/workloads.py`` at seeds 0-4 and the
 held-out seed 7, sets up, solves and grades once, then grades again with
 ``certification._screened_maxima`` replaced by the exact column-maximum
-pass, so that every sample takes it.  Every ``certify`` field must be equal
-bit for bit.  Both runs happen in a fresh process with
-``OPENBLAS_NUM_THREADS=1`` and in one on the default thread count.
+pass, so that every sample takes it.  On CSR, which always takes the exact
+pass, it grades instead with the l2 walk forced: ``core._l1_norms`` is
+replaced by infinite bounds, so the first-block probe never prefers
+Holder's l1 bound.  Every ``certify`` field must be equal bit for bit.  Both
+runs happen in a fresh process with ``OPENBLAS_NUM_THREADS=1`` and in one on
+the default thread count.
 
     python tests/containment_parity.py
 
 prints one line per workload, seed and thread count, saying whether the
-screen ran (``sparse-mtx`` is CSR, which keeps the exact pass) and how many
-samples it left to the exact pass, and exits 1 if a field differs.
+screen ran and how many samples it left to the exact pass, or, on CSR,
+which bound each walk took and how many rows it visited, and exits 1 if a
+field differs.
 """
 
 from __future__ import annotations
@@ -30,12 +35,15 @@ SEEDS = (0, 1, 2, 3, 4, 7)
 
 def _compare(work_dir: Path) -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import numpy as np
     from workloads import WORKLOADS
 
     from johnellip import certification, core
 
     screen, exact = certification._screened_maxima, certification._column_maxima
-    errors, undecided = [], []
+    walk, l1_norms = core._row_blocks, core._l1_norms
+    errors, undecided, stops = [], [], []
+    visited = {"width": None, "rows": 0}
 
     def recording_screen(inst, right):
         approx, error = screen(inst, right)
@@ -49,32 +57,69 @@ def _compare(work_dir: Path) -> list[dict]:
     def exact_only(inst, right):
         return core._column_maxima(inst, right), 0.0
 
+    def counting_walk(inst, width, *order):
+        for start, block, out in walk(inst, width, *order):
+            visited["rows"] += block.shape[0] if width == visited["width"] else 0
+            yield start, block, out
+
+    def recording_l1(inst, stop):
+        stops.append(stop)
+        return l1_norms(inst, stop)
+
+    def infinite_l1(inst, stop):
+        stops.append(stop)
+        return np.full(stop, np.inf)
+
+    def walked(inst, grade, l1):
+        # The report of one grade, the bound its norm-order walk took and
+        # the rows that containment's passes visited.
+        stops.clear()
+        visited["rows"] = 0
+        core._row_blocks, core._l1_norms = counting_walk, l1
+        try:
+            report = grade()["report"]
+        finally:
+            core._row_blocks, core._l1_norms = walk, l1_norms
+        bound = "l1" if inst.m in stops else "l2" if stops else "storage order"
+        return report, f"{bound} walk, {visited['rows']} rows"
+
     out = []
     for name, workload in WORKLOADS.items():
+        visited["width"] = workload.samples
         for seed in SEEDS:
             inst = workload.setup(seed, workload.prepare(work_dir, seed))
             solved = workload.solve(inst, seed)
-            errors.clear()
-            undecided.clear()
-            certification._screened_maxima = recording_screen
-            certification._column_maxima = counting_exact
-            try:
-                screened = workload.grade(inst, solved, seed)["report"]
-            finally:
-                certification._screened_maxima = screen
-                certification._column_maxima = exact
-            certification._screened_maxima = exact_only
-            try:
-                reference = workload.grade(inst, solved, seed)["report"]
-            finally:
-                certification._screened_maxima = screen
+
+            def grade():
+                return workload.grade(inst, solved, seed)
+
+            if inst.is_sparse:
+                chosen, path = walked(inst, grade, recording_l1)
+                reference, forced = walked(inst, grade, infinite_l1)
+                path += f"; forced: {forced}"
+            else:
+                errors.clear()
+                undecided.clear()
+                certification._screened_maxima = recording_screen
+                certification._column_maxima = counting_exact
+                try:
+                    chosen = grade()["report"]
+                finally:
+                    certification._screened_maxima = screen
+                    certification._column_maxima = exact
+                certification._screened_maxima = exact_only
+                try:
+                    reference = grade()["report"]
+                finally:
+                    certification._screened_maxima = screen
+                path = (f"{sum(undecided)} samples undecided" if errors[0] > 0.0
+                        else "exact pass, not screened")
             differ = [
                 field
-                for field, value in asdict(screened).items()
+                for field, value in asdict(chosen).items()
                 if repr(value) != repr(getattr(reference, field))
             ]
-            out.append({"workload": name, "seed": seed, "screened": bool(errors[0] > 0.0),
-                        "undecided": sum(undecided), "differ": differ})
+            out.append({"workload": name, "seed": seed, "path": path, "differ": differ})
     return out
 
 
@@ -94,10 +139,8 @@ def main() -> int:
             for row in json.loads(done.stdout):
                 same = not row["differ"]
                 failed |= not same
-                path = (f"{row['undecided']} samples undecided" if row["screened"]
-                        else "exact pass, not screened")
                 print(f"{'same   ' if same else 'DIFFERS'} {row['workload']} seed {row['seed']} "
-                      f"threads {threads or 'default'}: {path}"
+                      f"threads {threads or 'default'}: {row['path']}"
                       + ("" if same else "; differ: " + ", ".join(row["differ"])))
     return 1 if failed else 0
 

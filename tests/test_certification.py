@@ -381,6 +381,142 @@ class TestContainment:
         if case.startswith("tie"):
             assert visited["rows"] == 2 * 131  # one block in each order
 
+    @staticmethod
+    def l1_stops(monkeypatch):
+        # The rows whose l1 norms the column-maximum pass asks for: the first
+        # block's once norm order is chosen, then all m for the Holder walk.
+        stops = []
+        l1_norms = core._l1_norms
+
+        def recording(inst, stop):
+            stops.append(stop)
+            return l1_norms(inst, stop)
+
+        monkeypatch.setattr(core, "_l1_norms", recording)
+        return stops
+
+    @staticmethod
+    def force_l2_walk(monkeypatch):
+        # Every l1 bound infinite: the probe counts no pair below one, so the
+        # l2 walk follows.
+        monkeypatch.setattr(core, "_l1_norms", lambda inst, stop: np.full(stop, np.inf))
+
+    @staticmethod
+    def assert_exhaustive(inst, u, maxima):
+        expected = np.abs(inst.matrix @ u).max(axis=0)
+        if inst.is_sparse:
+            assert np.array_equal(maxima, expected)
+        else:
+            np.testing.assert_array_max_ulp(maxima, expected, maxulp=1)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_holder_walk_visits_fewer_rows(self, storage, monkeypatch):
+        # sparse-mtx's rows, about 2 nonzeros in 40 columns: for a unit
+        # Gaussian u, ||a||_1 ||u||_inf is about half of ||a||_2 ||u||_2.
+        inst = generate(GeneratorSpec("sparse-bernoulli", 5000, 40, density=0.05, seed=0))
+        if storage == "dense":
+            inst = build_instance(inst.toarray())
+        u = np.random.default_rng(5).standard_normal((40, 1000))
+        u /= np.linalg.norm(u, axis=0)
+        stops = self.l1_stops(monkeypatch)
+        visited = self.count_visited_rows(monkeypatch, 1000)
+        self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
+        assert stops == [131, inst.m]  # the probe's block, then the Holder walk
+        holder = visited["rows"]
+        self.force_l2_walk(monkeypatch)
+        visited["rows"] = 0
+        self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
+        assert holder < visited["rows"] < inst.m
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_holder_walk_retires_at_an_equal_bound(self, storage, monkeypatch):
+        # Rows c e_k with c a power of two, and directions +-(e_k + (e_{k+1}
+        # + e_{k+2}) / 4), so every product and l1 norm is exact and
+        # ||u||_inf = 1.  At n = 3 the margin is 1 + 20 eps.  Rows of 1984
+        # in the first block fall below the maxima under the l1 bound alone,
+        # so the Holder walk is taken.  Its first block holds 130 rows of
+        # 2^12 or 2^13 on e_1 and e_2 and the row 2^11 (1 + 20 eps) e_0, the
+        # maximum of the directions on e_0; the next rows, 2^11 e_k, bound
+        # them by exactly that maximum, and the non-strict test retires them.
+        rng = np.random.default_rng(5)
+        dense = np.zeros((600, 3))
+        dense[np.arange(600), rng.integers(0, 3, 600)] = rng.choice(
+            [-1.0, 1.0], 600
+        ) * np.exp2(rng.integers(-10, 10, 600))
+        dense[20:60] *= 1984.0 / np.abs(dense[20:60]).sum(axis=1)[:, None]
+        dense[470:] = 0.0
+        dense[np.arange(470, 600), np.arange(130) % 2 + 1] = np.exp2(rng.integers(12, 14, 130))
+        dense[:3] = 2.0**11 * np.eye(3)
+        dense[3] = [2.0**11 * (1 + 20 * np.finfo(float).eps), 0.0, 0.0]
+        inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
+        lean = (np.eye(3) + np.roll(np.eye(3), 1, axis=0) / 4 + np.roll(np.eye(3), 2, axis=0) / 4)
+        u = np.tile(np.hstack([lean, -lean]), 167)[:, :1000]
+        stops = self.l1_stops(monkeypatch)
+        visited = self.count_visited_rows(monkeypatch, 1000)
+        self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
+        assert stops == [131, 600]
+        assert visited["rows"] == 2 * 131  # one block in each order
+        self.force_l2_walk(monkeypatch)
+        visited["rows"] = 0
+        self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
+        assert visited["rows"] > 2 * 131  # ||u||_2 = 1.06 keeps e_0's directions live
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_holder_walk_keeps_its_rounding_margin(self, storage, monkeypatch):
+        # 200 copies of one row on e_0..e_2, each entry moved by a few ulps,
+        # and directions whose entries there are +-s, the row's signs, so
+        # each product is within a few ulps of the Holder bound.  130 long
+        # rows on e_3..e_5, which the directions barely reach, fill the first
+        # norm-order block ahead of the copies, and rows 2.5 e_k (k >= 3)
+        # fall below the maxima under the l1 bound alone.  At this seed a
+        # bound without its rounding margin misses 440 CSR maxima.
+        rng = np.random.default_rng(9)
+        eps = np.finfo(float).eps
+        row = rng.uniform(0.5, 2, 3) * rng.choice([-1.0, 1.0], 3)
+        dense = np.zeros((600, 6))
+        dense[:200, :3] = row * (1 + rng.integers(-2, 3, (200, 3)) * eps)
+        dense[200:330, 3:] = 10 * rng.standard_normal((130, 3))
+        dense[330:] = 0.01 * rng.standard_normal((270, 6))
+        dense[np.arange(540, 600), rng.integers(3, 6, 60)] = 2.5
+        dense = dense[rng.permutation(600)]
+        u = np.zeros((6, 1000))
+        u[:3] = np.sign(row)[:, None]
+        u[3:] = rng.choice([-0.05, 0.05], (3, 1000))
+        u *= rng.uniform(0.5, 1, 1000)
+        inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
+        stops = self.l1_stops(monkeypatch)
+        self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
+        assert stops == [131, 600]
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_holder_walk_visits_rows_below_the_floor_first(self, storage, monkeypatch):
+        # Rows scaled to l1 norms below _NORM_FLOOR (2^-485), some of them
+        # with subnormal entries, get an infinite bound and lead the walk;
+        # rows just above it keep a finite bound.
+        inst = generate(GeneratorSpec("sparse-bernoulli", 5000, 40, density=0.05, seed=0))
+        dense = inst.toarray()
+        tiny = np.arange(1000, 1040)
+        dense[tiny] *= (2.0**-490 / np.abs(dense[tiny]).sum(axis=1))[:, None]
+        dense[tiny[::4]] *= 2.0**-580  # entries near 2^-1070
+        dense[2000:2040] *= (2.0**-480 / np.abs(dense[2000:2040]).sum(axis=1))[:, None]
+        inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
+        assert np.array_equal(np.flatnonzero(np.isinf(core._l1_norms(inst, inst.m))), tiny)
+        u = np.random.default_rng(5).standard_normal((40, 1000))
+        u /= np.linalg.norm(u, axis=0)
+        orders = []
+        walk = core._row_blocks
+
+        def recording_walk(inst, width, *order):
+            orders.extend(order[:1])
+            return walk(inst, width, *order)
+
+        monkeypatch.setattr(core, "_row_blocks", recording_walk)
+        stops = self.l1_stops(monkeypatch)
+        self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
+        assert stops == [131, inst.m]
+        (order,) = orders
+        assert np.array_equal(np.sort(order[: tiny.size]), tiny)
+
     def test_memory_does_not_grow_with_m_times_samples(self):
         # A dense m x samples block would take 20000 * 1000 * 8 B = 153 MiB.
         inst = gaussian(20000, 20, seed=4)
