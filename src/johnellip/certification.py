@@ -183,11 +183,9 @@ def containment_check(
     (``core._column_maxima``) forms them exactly, in row blocks of
     ``max(1, core._BLOCK_ELEMENTS // samples)`` rows whose products fill one
     block of about 1 MiB.  Where its first block shows that many rows cannot
-    set a maximum, it visits rows by decreasing norm and stops each
-    direction once no unvisited row's norm bound can exceed its maximum:
-    ``||a_i||_2 max_j ||u_j||_2`` by default, Holder's ``||a_i||_1
-    ||u_j||_inf`` (with rows by decreasing l1 norm) where that block shows
-    it prunes more.
+    set a maximum, it visits rows by decreasing l1 norm and stops each
+    direction once no unvisited row's Holder bound ``||a_i||_1
+    ||u_j||_inf`` can exceed its maximum.
     Otherwise, on dense ``A``, the other blocks are multiplied in float32
     (``core._screened_maxima``), giving each maximum to within a proven
     bound E.  A sample whose tests pass with its maximum raised by E

@@ -62,23 +62,23 @@ GRAM_PIVOT_FLOOR = 1e-14
 # than 2^17.
 _BLOCK_ELEMENTS = 2**17
 # Containment's column-maximum pass (_column_maxima) visits rows in
-# decreasing norm only when, in its first row block, at least this share of
-# the row-direction pairs already has a row bound below the direction's
-# running maximum.  Seeds 0-4 put that share at 0.32-0.41 on
+# decreasing l1 norm only when, in its first row block, at least this share
+# of the row-direction pairs already has an l2 row bound below the
+# direction's running maximum.  Seeds 0-4 put that share at 0.32-0.41 on
 # sparse-bernoulli:50000x40:density=0.05, 0.01-0.04 on
 # gaussian-dense:20000x20 and sparse-bernoulli:50000x40:density=0.3, and 0
 # on gaussian-dense at 50000x50 and 1500x40.  Norm order costs an argsort
 # and random-row gathers, and no direction retired on the dense shapes:
 # always taking it made the dense pass 10% slower at 50000x50 and 24% at
 # 1500x40 (medians of 300 alternating in-process runs, 2-vCPU Xeon VM).
-# Under Holder's l1 bound, which the walk takes when it counts more pairs
-# below than this l2 one, the same first blocks give 0.65-0.72 on
-# sparse-bernoulli at density 0.05, 0.02-0.06 at density 0.3, and at most
-# 0.0002 on the three gaussian-dense shapes.
+# Under Holder's l1 bound, which the norm-order walk retires directions by,
+# the same first blocks give 0.65-0.72 on sparse-bernoulli at density 0.05,
+# 0.02-0.06 at density 0.3, and at most 0.0002 on the three gaussian-dense
+# shapes.
 _NORM_ORDER_SHARE = 1 / 8
 # Rows of A whose computed squared norm is below this (2^-970) get an
-# infinite product bound in _column_maxima: above it, underflow in a dot
-# product or in the norm is far inside the bound's rounding margin.
+# infinite l2 bound in _product_bounds, so containment's first-block probe
+# never counts them as rows that cannot raise a maximum.
 _SQUARED_NORM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # Its square root (2^-485) floors the two factors of the l1 bound: a row
 # whose computed l1 norm is below it gets an infinite bound, and a direction
@@ -531,13 +531,12 @@ def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
 
 
 def _product_bounds(a, scale: float) -> np.ndarray:
-    """``||a_i|| * scale`` for every row of ``a`` (``A`` itself or one of its
-    row blocks), with ``inf`` where the squared norm is not at least
-    ``_SQUARED_NORM_FLOOR``.
+    """``||a_i|| * scale`` for every row of ``a``, a row block of ``A``, with
+    ``inf`` where the squared norm is not at least ``_SQUARED_NORM_FLOOR``.
 
     Dense rows reduce through ``einsum``, CSR rows over their ``indptr``
     runs (no row is empty: :func:`build_instance` rejects zero rows), so
-    only the ``m`` norms and, for CSR, the squares of the nonzeros are
+    only the block's norms and, for CSR, the squares of its nonzeros are
     allocated.
     """
     if sp.issparse(a):
@@ -550,9 +549,9 @@ def _product_bounds(a, scale: float) -> np.ndarray:
     return sq
 
 
-def _l1_norms(inst: PolytopeInstance, stop: int) -> np.ndarray:
-    """``||a_i||_1`` for rows ``0..stop-1`` of ``A``, with ``inf`` where it is
-    below ``_NORM_FLOOR``.
+def _l1_norms(inst: PolytopeInstance) -> np.ndarray:
+    """``||a_i||_1`` for every row of ``A``, with ``inf`` where it is below
+    ``_NORM_FLOOR``.
 
     CSR rows reduce over their ``indptr`` runs; dense rows take their
     absolute values one block of :func:`_row_blocks` at a time, into its
@@ -560,14 +559,11 @@ def _l1_norms(inst: PolytopeInstance, stop: int) -> np.ndarray:
     """
     a = inst.matrix
     if inst.is_sparse:
-        norms = np.add.reduceat(np.abs(a.data[: a.indptr[stop]]), a.indptr[:stop])
+        norms = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
     else:
-        norms = np.empty(stop)
+        norms = np.empty(inst.m)
         for start, block, out in _row_blocks(inst, inst.n):
-            if start >= stop:
-                break
-            rows = min(block.shape[0], stop - start)
-            np.abs(block[:rows], out=out[:rows]).sum(axis=1, out=norms[start : start + rows])
+            np.abs(block, out=out).sum(axis=1, out=norms[start : start + out.shape[0]])
     norms[norms < _NORM_FLOOR] = np.inf
     return norms
 
@@ -578,61 +574,44 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     every row would find it, but rows that provably cannot raise a maximum
     are skipped.
 
-    Every computed ``|a_i^T v|`` is at most ``b_i = ||a_i|| * max_j ||v_j||
-    * (1 + 4 (n + 2) eps)`` (:func:`_product_bounds`; eps = 2u, u = 2^-53
-    the unit roundoff).  By Higham (*Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 3), a dot product of length n summed in any
-    order, with or without FMA, obeys ``|fl(a^T v)| <= (1 + g) |a|^T |v|
-    <= (1 + g) ||a|| ||v||`` (Cauchy-Schwarz), g = gamma_n = nu / (1 - nu).
-    A computed squared norm is at least ``(1 - g)`` times the true one, so a
-    computed norm, after the square root's rounding, is at least ``(1 - g)(1
-    - u)`` times the true one; that holds for ``||a_i||`` and for the
-    ``||v_j||`` whose maximum is taken.  Forming ``1 + 8 (n + 2) u`` and the
-    two products rounds at most three more times, so the computed ``b_i``
-    is at least ``||a|| ||v_j|| (1 - g)^2 (1 - u)^5 (1 + 8 (n + 2) u)``, which
-    exceeds ``(1 + g) ||a|| ||v_j||`` since ``(1 + g) / ((1 - g)^2 (1 -
-    u)^5) = 1 + (3n + 5) u + O((nu)^2)``.  Gradual underflow adds at most
-    ``n 2^-1075`` to a dot product and to a squared norm; against a squared
-    norm of at least ``_SQUARED_NORM_FLOOR`` (``2^-970``) and columns of
-    ``right`` of norm about 1 that is far inside the margin's slack, and
-    rows below the floor, or whose squared norm overflows, get ``b_i = inf``
-    and so are never skipped.  Only norms of ``A`` and ``right`` enter the
-    bound: nothing derived from the weights or the factor of ``Q`` prunes
-    the pass, which is what containment checks.
-
-    Holder's inequality gives the other bound, ``h_ij = ||a_i||_1 * c_j``
+    Every computed ``|a_i^T v_j|`` is at most ``h_ij = ||a_i||_1 * c_j``
     with ``c_j = max(||v_j||_inf * (1 + 4 (n + 2) eps), _NORM_FLOOR)``
-    (:func:`_l1_norms`): ``|fl(a^T v)| <= (1 + g) |a|^T |v| <= (1 + g)
-    ||a||_1 ||v||_inf``.  The computed ``||a_i||_1`` is a sum of at most n
-    exact absolute values, so in any order it is at least ``(1 -
-    gamma_{n-1})`` times the true one, and ``||v_j||_inf``, a maximum of
-    exact absolute values, is exact.  The margin ``1 + 8 (n + 2) u`` is
+    (:func:`_l1_norms`; eps = 2u, u = 2^-53 the unit roundoff).  By Higham
+    (*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3), a
+    dot product of length n summed in any order, with or without FMA, obeys
+    ``|fl(a^T v)| <= (1 + g) |a|^T |v| <= (1 + g) ||a||_1 ||v||_inf``
+    (Holder), g = gamma_n = nu / (1 - nu).  The computed ``||a_i||_1`` is a
+    sum of at most n exact absolute values, so in any order it is at least
+    ``(1 - gamma_{n-1})`` times the true one, and ``||v_j||_inf``, a maximum
+    of exact absolute values, is exact.  The margin ``1 + 8 (n + 2) u`` is
     itself a float, so forming ``c_j`` and ``h_ij`` rounds twice, and the
     computed ``h_ij`` is at least ``||a_i||_1 ||v_j||_inf (1 - gamma_{n-1})
     (1 - u)^2 (1 + 8 (n + 2) u)``.  That exceeds ``(1 + g) ||a_i||_1
     ||v_j||_inf``, since ``(1 + g) / ((1 - gamma_{n-1}) (1 - u)^2) = 1 +
-    (2n + 1) u + O((nu)^2)``: the same margin covers both bounds.  Rows
-    whose computed ``||a_i||_1`` is below ``_NORM_FLOOR`` (``2^-485``) get
-    ``h_ij = inf``, and raising ``c_j`` to the floor only loosens the
-    bound, so every finite computed ``h_ij`` is at least ``2^-970``.  There
-    both roundings are relative, and underflow's ``n 2^-1075`` in the dot
-    product is far inside the margin's slack, for columns of any norm.
+    (2n + 1) u + O((nu)^2)``.  Rows whose computed ``||a_i||_1`` is below
+    ``_NORM_FLOOR`` (``2^-485``) get ``h_ij = inf`` and so are never
+    skipped, and raising ``c_j`` to the floor only loosens the bound, so
+    every finite computed ``h_ij`` is at least ``2^-970``.  There both
+    roundings are relative, and gradual underflow's ``n 2^-1075`` in the dot
+    product is far inside the margin's slack, for columns of any norm.  Only
+    norms of ``A`` and ``right`` enter the bound: nothing derived from the
+    weights or the factor of ``Q`` prunes the pass, which is what
+    containment checks.
 
-    Rows are visited in decreasing ``||a_i||`` or ``||a_i||_1``, and column
-    j retires once its running maximum is at least its bound on the next
-    unvisited row (rounding is monotone, so no later row's bound is larger
-    and the test may be non-strict).  Once the live columns are half of
-    those being multiplied they are compacted into a contiguous copy of
-    ``right[:, live]``; the walk stops when none is live.  The order costs
-    ``O(m)`` norms and an argsort, and random-row gathers, which pay only
-    when columns retire early: the first row block is walked in storage
-    order, and only if at least ``_NORM_ORDER_SHARE`` of its row-column
-    pairs have ``b_i`` below the column's running maximum is the pass
-    redone in norm order (the first block's rows then change no maximum).
-    Otherwise storage order continues, on views of ``A``.  The walk takes
-    Holder's bound when, on that same block, more pairs fall below their
-    running maximum under ``h`` than under ``b`` (counted as ``||a_i||_1 <
-    maximum / c_j``), and ``b`` otherwise.
+    Rows are visited in decreasing ``||a_i||_1``, and column j retires once
+    its running maximum is at least ``h_ij`` of the next unvisited row i
+    (rounding is monotone, so no later row's bound is larger and the test
+    may be non-strict).  Once the live columns are half of those being
+    multiplied they are compacted into a contiguous copy of ``right[:,
+    live]``; the walk stops when none is live.  The order costs ``O(m)``
+    norms and an argsort, and random-row gathers, which pay only when
+    columns retire early: the first row block is walked in storage order,
+    and the pass is redone in norm order (the first block's rows then change
+    no maximum) only if at least ``_NORM_ORDER_SHARE`` of its row-column
+    pairs have ``||a_i|| * S`` below the column's running maximum, with the
+    scale ``S = max_j ||v_j|| * (1 + 4 (n + 2) eps)``
+    (:func:`_product_bounds`).  Otherwise storage order continues, on views
+    of ``A``.  That count only picks the order; no maximum depends on it.
     """
     return _maxima(inst, right, screen=False)[0]
 
@@ -711,17 +690,12 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
     if not norm_order:
         return _float32_maxima(inst, right, maxima, rows, scale)
 
-    # Column j's bound on row i is bounds[i] * factor[j]: Holder's
-    # ||a_i||_1 * ||u_j||_inf * margin where, on the first block, more pairs
-    # fall below their running maximum under it than under the l2 bound.
+    # Column j's bound on row i is bounds[i] * factor[j], Holder's
+    # ||a_i||_1 * ||u_j||_inf * margin.
     factor = np.maximum(right.max(axis=0), -right.min(axis=0))
     factor *= margin
     np.maximum(factor, _NORM_FLOOR, out=factor)
-    holder = np.count_nonzero(_l1_norms(inst, rows)[:, None] < maxima / factor) > below
-    if holder:
-        bounds = _l1_norms(inst, inst.m)
-    else:
-        bounds, factor = _product_bounds(inst.matrix, scale), np.ones(samples)
+    bounds = _l1_norms(inst)
     order = np.argsort(bounds)[::-1]
     bounds = bounds[order]
     live, columns = np.arange(samples), right

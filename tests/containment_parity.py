@@ -5,18 +5,18 @@ For each workload in ``perfbench/workloads.py`` at seeds 0-4 and the
 held-out seed 7, sets up, solves and grades once, then grades again with
 ``certification._screened_maxima`` replaced by the exact column-maximum
 pass, so that every sample takes it.  On CSR, which always takes the exact
-pass, it grades instead with the l2 walk forced: ``core._l1_norms`` is
-replaced by infinite bounds, so the first-block probe never prefers
-Holder's l1 bound.  Every ``certify`` field must be equal bit for bit.  Both
-runs happen in a fresh process with ``OPENBLAS_NUM_THREADS=1`` and in one on
-the default thread count.
+pass but may skip rows in norm order, it grades instead with
+``core._NORM_ORDER_SHARE`` set to infinity, so that the first-block probe
+never picks norm order and every row is multiplied.  Every ``certify``
+field must be equal bit for bit.  Both runs happen in a fresh process with
+``OPENBLAS_NUM_THREADS=1`` and in one on the default thread count.
 
     python tests/containment_parity.py
 
 prints one line per workload, seed and thread count, saying whether the
 screen ran and how many samples it left to the exact pass, or, on CSR,
-which bound each walk took and how many rows it visited, and exits 1 if a
-field differs.
+how many rows containment visited against the every-row run, and exits 1
+if a field differs.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ SEEDS = (0, 1, 2, 3, 4, 7)
 
 def _compare(work_dir: Path) -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import numpy as np
     from workloads import WORKLOADS
 
     from johnellip import certification, core
 
     screen, exact = certification._screened_maxima, certification._column_maxima
-    walk, l1_norms = core._row_blocks, core._l1_norms
-    errors, undecided, stops = [], [], []
+    walk, share = core._row_blocks, core._NORM_ORDER_SHARE
+    errors, undecided = [], []
     visited = {"width": None, "rows": 0}
 
     def recording_screen(inst, right):
@@ -62,26 +61,16 @@ def _compare(work_dir: Path) -> list[dict]:
             visited["rows"] += block.shape[0] if width == visited["width"] else 0
             yield start, block, out
 
-    def recording_l1(inst, stop):
-        stops.append(stop)
-        return l1_norms(inst, stop)
-
-    def infinite_l1(inst, stop):
-        stops.append(stop)
-        return np.full(stop, np.inf)
-
-    def walked(inst, grade, l1):
-        # The report of one grade, the bound its norm-order walk took and
+    def walked(grade, threshold):
+        # The report of one grade with the probe's share at threshold, and
         # the rows that containment's passes visited.
-        stops.clear()
         visited["rows"] = 0
-        core._row_blocks, core._l1_norms = counting_walk, l1
+        core._row_blocks, core._NORM_ORDER_SHARE = counting_walk, threshold
         try:
             report = grade()["report"]
         finally:
-            core._row_blocks, core._l1_norms = walk, l1_norms
-        bound = "l1" if inst.m in stops else "l2" if stops else "storage order"
-        return report, f"{bound} walk, {visited['rows']} rows"
+            core._row_blocks, core._NORM_ORDER_SHARE = walk, share
+        return report, visited["rows"]
 
     out = []
     for name, workload in WORKLOADS.items():
@@ -94,9 +83,10 @@ def _compare(work_dir: Path) -> list[dict]:
                 return workload.grade(inst, solved, seed)
 
             if inst.is_sparse:
-                chosen, path = walked(inst, grade, recording_l1)
-                reference, forced = walked(inst, grade, infinite_l1)
-                path += f"; forced: {forced}"
+                chosen, rows = walked(grade, share)
+                reference, every = walked(grade, float("inf"))
+                path = (f"{'l1 walk' if rows < every else 'storage order'}, {rows} rows; "
+                        f"every row: {every} rows")
             else:
                 errors.clear()
                 undecided.clear()

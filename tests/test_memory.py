@@ -95,24 +95,24 @@ def test_command_keeps_the_contract(command, storage, tmp_path):
 
 def test_certify_in_holder_order_keeps_the_contract(monkeypatch):
     # Dense rows with one dominant coordinate and norms spread over 100x:
-    # the probe picks norm order, then the l1 bound, whose dense norms are
-    # taken a block at a time: 2.1 MiB against a bound of 4.5 MiB, which an
-    # m x n temporary (6.1 MiB) breaks.
+    # the probe picks norm order, whose l1 norms of dense rows are taken a
+    # block at a time: 2.1 MiB against a bound of 4.5 MiB, which an m x n
+    # temporary (6.1 MiB) breaks.
     rng = np.random.default_rng(0)
     m, n = 20000, 40
     dense = 0.01 * rng.standard_normal((m, n))
     dense[np.arange(m), rng.integers(0, n, m)] += 1.0
     dense *= np.logspace(-1, 1, m)[rng.permutation(m), None]
     inst = build_instance(dense)
-    stops = []
+    walks = []
     l1_norms = core._l1_norms
 
-    def recording(inst, stop):
-        stops.append(stop)
-        return l1_norms(inst, stop)
+    def recording(inst):
+        walks.append(inst.m)
+        return l1_norms(inst)
 
     monkeypatch.setattr(core, "_l1_norms", recording)
     _, peak = peak_bytes(lambda: COMMANDS["certify"](inst))
-    assert stops == [core._BLOCK_ELEMENTS // SAMPLES, m]  # the Holder walk ran
+    assert walks == [m]  # the walk in l1 order ran
     bound = contract("certify", inst)
     assert peak <= bound, f"{peak / 2**20:.2f} MiB, contract {bound / 2**20:.2f} MiB"
