@@ -182,10 +182,10 @@ def containment_check(
     positive multiple of its u.  Core's column-maximum pass
     (``core._column_maxima``) forms them exactly, in row blocks of
     ``max(1, core._BLOCK_ELEMENTS // samples)`` rows whose products fill one
-    block of about 1 MiB.  Where its first block shows that many rows cannot
-    set a maximum, it visits rows by decreasing l1 norm and stops each
-    direction once no unvisited row's Holder bound ``||a_i||_1
-    ||u_j||_inf`` can exceed its maximum.
+    block of about 1 MiB.  Where Holder's bound ``||a_i||_1 ||u_j||_inf``
+    shows in its first block that many rows cannot set a maximum, it visits
+    rows by decreasing l1 norm and stops each direction once no unvisited
+    row's bound can exceed its maximum.
     Otherwise, on dense ``A``, the other blocks are multiplied in float32
     (``core._screened_maxima``), giving each maximum to within a proven
     bound E.  A sample whose tests pass with its maximum raised by E

@@ -63,28 +63,20 @@ GRAM_PIVOT_FLOOR = 1e-14
 _BLOCK_ELEMENTS = 2**17
 # Containment's column-maximum pass (_column_maxima) visits rows in
 # decreasing l1 norm only when, in its first row block, at least this share
-# of the row-direction pairs already has an l2 row bound below the
-# direction's running maximum.  Seeds 0-4 put that share at 0.32-0.41 on
-# sparse-bernoulli:50000x40:density=0.05, 0.01-0.04 on
-# gaussian-dense:20000x20 and sparse-bernoulli:50000x40:density=0.3, and 0
-# on gaussian-dense at 50000x50 and 1500x40.  Norm order costs an argsort
-# and random-row gathers, and no direction retired on the dense shapes:
-# always taking it made the dense pass 10% slower at 50000x50 and 24% at
-# 1500x40 (medians of 300 alternating in-process runs, 2-vCPU Xeon VM).
-# Under Holder's l1 bound, which the norm-order walk retires directions by,
-# the same first blocks give 0.65-0.72 on sparse-bernoulli at density 0.05,
-# 0.02-0.06 at density 0.3, and at most 0.0002 on the three gaussian-dense
-# shapes.
+# of the row-direction pairs already has a Holder bound below the
+# direction's running maximum.  Seeds 0-4 and 7 put that share at 0.65-0.72
+# on sparse-bernoulli:50000x40:density=0.05, 0.021-0.064 at density 0.3,
+# 0.050-0.080 on gaussian-dense:2000x10, and 0 on gaussian-dense at 50000x50
+# and 1500x40.  Norm order costs an argsort and random-row gathers, and no
+# direction retired on the dense shapes: always taking it made the dense
+# pass 10% slower at 50000x50 and 24% at 1500x40 (medians of 300
+# alternating in-process runs, 2-vCPU Xeon VM).
 _NORM_ORDER_SHARE = 1 / 8
-# Rows of A whose computed squared norm is below this (2^-970) get an
-# infinite l2 bound in _product_bounds, so containment's first-block probe
-# never counts them as rows that cannot raise a maximum.
-_SQUARED_NORM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
-# Its square root (2^-485) floors the two factors of the l1 bound: a row
-# whose computed l1 norm is below it gets an infinite bound, and a direction
+# The two factors of the l1 bound are floored here (2^-485): a row whose
+# computed l1 norm is below it gets an infinite bound, and a direction
 # factor below it is raised to it, so that every finite bound is at least
 # 2^-970.
-_NORM_FLOOR = math.sqrt(_SQUARED_NORM_FLOOR)
+_NORM_FLOOR = 2.0**-485
 # The row-pair operator P is built only when it holds at most this many
 # entries per nonzero of A (rows of about 7 nonzeros on average), so it is
 # kept at up to 4x the size of A's CSR arrays and its build peaks near twice
@@ -530,41 +522,33 @@ def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _product_bounds(a, scale: float) -> np.ndarray:
-    """``||a_i|| * scale`` for every row of ``a``, a row block of ``A``, with
-    ``inf`` where the squared norm is not at least ``_SQUARED_NORM_FLOOR``.
+def _row_l1_norms(a, out) -> np.ndarray:
+    """``||a_i||_1`` for every row of ``a``, with ``inf`` where it is below
+    ``_NORM_FLOOR``: ``a`` is CSR ``A`` or a block of :func:`_row_blocks`,
+    and ``out`` that block's scratch.
 
-    Dense rows reduce through ``einsum``, CSR rows over their ``indptr``
-    runs (no row is empty: :func:`build_instance` rejects zero rows), so
-    only the block's norms and, for CSR, the squares of its nonzeros are
-    allocated.
+    CSR rows reduce over their ``indptr`` runs (no row is empty:
+    :func:`build_instance` rejects zero rows); dense rows take their
+    absolute values into the leading elements of ``out``, so only the norms
+    are allocated.
     """
-    if sp.issparse(a):
-        sq = np.add.reduceat(np.square(a.data), a.indptr[:-1])
+    if out is None:
+        norms = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
     else:
-        sq = np.einsum("ij,ij->i", a, a)
-    sq[sq < _SQUARED_NORM_FLOOR] = np.inf
-    np.sqrt(sq, out=sq)
-    sq *= scale
-    return sq
+        x = out.reshape(-1)[: a.size].reshape(a.shape)
+        norms = np.abs(a, out=x).sum(axis=1)
+    norms[norms < _NORM_FLOOR] = np.inf
+    return norms
 
 
 def _l1_norms(inst: PolytopeInstance) -> np.ndarray:
-    """``||a_i||_1`` for every row of ``A``, with ``inf`` where it is below
-    ``_NORM_FLOOR``.
-
-    CSR rows reduce over their ``indptr`` runs; dense rows take their
-    absolute values one block of :func:`_row_blocks` at a time, into its
-    scratch, so no ``m x n`` array is formed.
-    """
-    a = inst.matrix
+    """:func:`_row_l1_norms` of every row of ``A``; dense rows go one block
+    of :func:`_row_blocks` at a time, so no ``m x n`` array is formed."""
     if inst.is_sparse:
-        norms = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
-    else:
-        norms = np.empty(inst.m)
-        for start, block, out in _row_blocks(inst, inst.n):
-            np.abs(block, out=out).sum(axis=1, out=norms[start : start + out.shape[0]])
-    norms[norms < _NORM_FLOOR] = np.inf
+        return _row_l1_norms(inst.matrix, None)
+    norms = np.empty(inst.m)
+    for start, block, out in _row_blocks(inst, inst.n):
+        norms[start : start + block.shape[0]] = _row_l1_norms(block, out)
     return norms
 
 
@@ -608,10 +592,10 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     columns retire early: the first row block is walked in storage order,
     and the pass is redone in norm order (the first block's rows then change
     no maximum) only if at least ``_NORM_ORDER_SHARE`` of its row-column
-    pairs have ``||a_i|| * S`` below the column's running maximum, with the
-    scale ``S = max_j ||v_j|| * (1 + 4 (n + 2) eps)``
-    (:func:`_product_bounds`).  Otherwise storage order continues, on views
-    of ``A``.  That count only picks the order; no maximum depends on it.
+    pairs have ``h_ij`` below the column's running maximum.  Otherwise
+    storage order continues, on views of ``A``.  That count, taken as
+    ``||a_i||_1 < maxima_j / c_j`` so that only a boolean block is formed,
+    only picks the order; no maximum depends on it or on its rounding.
     """
     return _maxima(inst, right, screen=False)[0]
 
@@ -635,10 +619,10 @@ def _screened_maxima(inst: PolytopeInstance, right: np.ndarray) -> tuple[np.ndar
 
     with ``v = 2^-24`` and ``g = gamma_n = nv / (1 - nv)`` in float32,
     ``G = gamma_n`` in float64 (u = 2^-53), ``N`` the largest computed row
-    norm of ``A`` and ``S`` the scale of :func:`_column_maxima` (at least
-    the largest ``||right_j||``).  For row ``a`` and column ``r``, the casts
-    give ``a'_k = a_k (1 + d_k)`` and ``r'_k = r_k (1 + e_k)`` with ``|d_k|,
-    |e_k| <= v``, so ``|a'^T r' - a^T r| <= (2v + v^2) |a|^T |r|``.  The
+    norm of ``A`` and ``S = max_j ||right_j|| (1 + 4 (n + 2) eps)``.  For
+    row ``a`` and column ``r``, the casts give ``a'_k = a_k (1 + d_k)`` and
+    ``r'_k = r_k (1 + e_k)`` with ``|d_k|, |e_k| <= v``, so ``|a'^T r' - a^T
+    r| <= (2v + v^2) |a|^T |r|``.  The
     float32 dot product of length n, in any order, with or without FMA, is
     within ``g |a'|^T |r'| <= g (1 + v)^2 |a|^T |r|`` of ``a'^T r'``, and
     the float64 product that ``M_j`` takes is within ``G |a|^T |r|`` of
@@ -667,9 +651,14 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
     # The pass of _column_maxima (screen=False, E = 0) and _screened_maxima.
     samples = right.shape[1]
     maxima = np.zeros(samples)
-    margin = 1.0 + 4 * (inst.n + 2) * np.finfo(float).eps
-    scale = float(np.sqrt(np.einsum("ij,ij->j", right, right).max())) * margin
-    blocks = _row_blocks(inst, samples)
+    # Column j's bound on row i is l1[i] * factor[j], Holder's ||a_i||_1 *
+    # ||u_j||_inf * margin.
+    factor = np.maximum(right.max(axis=0), -right.min(axis=0))
+    factor *= 1.0 + 4 * (inst.n + 2) * np.finfo(float).eps
+    np.maximum(factor, _NORM_FLOOR, out=factor)
+    # The scratch holds a product block and, for the probe, the block's
+    # absolute values.
+    blocks = _row_blocks(inst, max(samples, inst.n))
     for start, block, out in blocks:
         x = _product(block, right, out)
         np.maximum(maxima, np.abs(x, out=x).max(axis=0), out=maxima)
@@ -678,8 +667,8 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
             # One comparison of ~131 x samples pairs; np.sort and
             # searchsorted would page in sorting code that a storage-order
             # pass never needs (0.3 MiB more peak RSS on dense inputs).
-            first = _product_bounds(block, scale)
-            below = np.count_nonzero(first[:, None] < maxima)
+            first = _row_l1_norms(block, out)
+            below = np.count_nonzero(first[:, None] < maxima / factor)
             norm_order = below >= _NORM_ORDER_SHARE * first.size * samples
             if norm_order or screen:
                 break
@@ -688,13 +677,8 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
     rows = block.shape[0]
     del blocks, block, out  # the float64 scratch block is freed here
     if not norm_order:
-        return _float32_maxima(inst, right, maxima, rows, scale)
+        return _float32_maxima(inst, right, maxima, rows)
 
-    # Column j's bound on row i is bounds[i] * factor[j], Holder's
-    # ||a_i||_1 * ||u_j||_inf * margin.
-    factor = np.maximum(right.max(axis=0), -right.min(axis=0))
-    factor *= margin
-    np.maximum(factor, _NORM_FLOOR, out=factor)
     bounds = _l1_norms(inst)
     order = np.argsort(bounds)[::-1]
     bounds = bounds[order]
@@ -717,12 +701,14 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
 
 
 def _float32_maxima(
-    inst: PolytopeInstance, right: np.ndarray, maxima: np.ndarray, begin: int, scale: float
+    inst: PolytopeInstance, right: np.ndarray, maxima: np.ndarray, begin: int
 ) -> tuple[np.ndarray, float]:
     # _screened_maxima's float32 pass over rows begin.. of dense A, given the
     # float64 maxima of rows ..begin.  Entries outside float32's range turn
     # into inf, NaN or zero here by design, so their warnings are silenced.
     samples, n = right.shape[1], inst.n
+    margin = 1.0 + 4 * (n + 2) * np.finfo(float).eps
+    scale = float(np.sqrt(np.einsum("ij,ij->j", right, right).max())) * margin
     head = inst.matrix[:begin]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         squared = float(np.einsum("ij,ij->i", head, head).max())

@@ -8,15 +8,20 @@ pass, so that every sample takes it.  On CSR, which always takes the exact
 pass but may skip rows in norm order, it grades instead with
 ``core._NORM_ORDER_SHARE`` set to infinity, so that the first-block probe
 never picks norm order and every row is multiplied.  Every ``certify``
-field must be equal bit for bit.  Both runs happen in a fresh process with
-``OPENBLAS_NUM_THREADS=1`` and in one on the default thread count.
+field must be equal bit for bit.  The report's containment fields are
+violation counts, which a wrong maximum need not change, so the column
+maxima of certify's own directions are compared too: ``core._column_maxima``
+against a run with the share at infinity, bit for bit on CSR and within one
+ulp on dense ``A`` (BLAS may round a dense row by its place in a block).
+All runs happen in a fresh process with ``OPENBLAS_NUM_THREADS=1`` and in
+one on the default thread count.
 
     python tests/containment_parity.py
 
 prints one line per workload, seed and thread count, saying whether the
 screen ran and how many samples it left to the exact pass, or, on CSR,
 how many rows containment visited against the every-row run, and exits 1
-if a field differs.
+if a field or a maximum differs.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ SEEDS = (0, 1, 2, 3, 4, 7)
 
 def _compare(work_dir: Path) -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import numpy as np
     from workloads import WORKLOADS
 
     from johnellip import certification, core
@@ -71,6 +77,25 @@ def _compare(work_dir: Path) -> list[dict]:
         finally:
             core._row_blocks, core._NORM_ORDER_SHARE = walk, share
         return report, visited["rows"]
+
+    def maxima_differ(inst, seed, samples):
+        # certify's directions for this seed, through the column-maximum
+        # pass as chosen and with every row multiplied in storage order.
+        u = np.random.default_rng(seed).standard_normal((inst.n, samples))
+        u /= np.linalg.norm(u, axis=0)
+        chosen = core._column_maxima(inst, u)
+        core._NORM_ORDER_SHARE = float("inf")
+        try:
+            reference = core._column_maxima(inst, u)
+        finally:
+            core._NORM_ORDER_SHARE = share
+        if inst.is_sparse:
+            return not np.array_equal(chosen, reference)
+        try:
+            np.testing.assert_array_max_ulp(chosen, reference, maxulp=1)
+        except AssertionError:
+            return True
+        return False
 
     out = []
     for name, workload in WORKLOADS.items():
@@ -109,6 +134,8 @@ def _compare(work_dir: Path) -> list[dict]:
                 for field, value in asdict(chosen).items()
                 if repr(value) != repr(getattr(reference, field))
             ]
+            if maxima_differ(inst, seed, workload.samples):
+                differ.append("column maxima")
             out.append({"workload": name, "seed": seed, "path": path, "differ": differ})
     return out
 

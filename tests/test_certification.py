@@ -320,12 +320,10 @@ class TestContainment:
             u[:3, 500:] = 0.0
             return dense, u, storage
         elif name == "subnormal-squares":
-            # Rows of about 1e-155, whose squares are subnormal, so a computed
-            # norm is off by some 50 ulps, more than the bound's margin, while
-            # the rows differ by 41 ulps at most: such rows must not be
-            # skipped (at this seed, a bound without the squared-norm floor
-            # misses the maximum).  The column's squared norm, 1e-307, is
-            # still normal.
+            # Rows of about 1e-155, whose squares are subnormal, differing by
+            # 41 ulps at most: their l1 norms fall below _NORM_FLOOR
+            # (2^-485), so they get an infinite l1 bound and no row is
+            # skipped.  The column's squared norm, 1e-307, is still normal.
             rng = np.random.default_rng(0)
             eps = np.finfo(float).eps
             column = 1e-155 * (1 + rng.integers(0, 40, 1000) * eps)
@@ -503,6 +501,32 @@ class TestContainment:
         (order,) = orders  # one walk in norm order
         assert np.array_equal(np.sort(order[: tiny.size]), tiny)
 
+    @pytest.mark.parametrize("case", ["unit-rows-csr", "unit-rows-dense", "gaussian-dense"])
+    def test_order_follows_the_holder_share(self, case, monkeypatch):
+        # The first-block probe counts the pairs that the walk's own bound,
+        # ||a_i||_1 ||u_j||_inf, keeps below the running maximum.  With
+        # certify's 1000 directions, the unit rows in R^3 of TestFloat32Screen
+        # give 0.126 of them, at least _NORM_ORDER_SHARE, and take norm
+        # order; gaussian-dense:2000x10 gives 0.053 and keeps storage order,
+        # where the float32 pass runs.  A probe by ||a_i||_2 ||u_j||_2 gives
+        # 0 and 0.38, the other way round.
+        name, _, storage = case.rpartition("-")
+        if name == "unit-rows":
+            dense = np.random.default_rng(3).standard_normal((400, 3))
+            dense /= np.linalg.norm(dense, axis=1)[:, None]
+        else:
+            dense = gaussian(2000, 10, seed=0).matrix
+        inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
+        u = np.random.default_rng(0).standard_normal((inst.n, 1000))
+        u /= np.linalg.norm(u, axis=0)
+        walks = self.count_norm_order_walks(monkeypatch)
+        self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
+        if name == "unit-rows":
+            assert walks["count"] == 1
+        else:
+            assert walks["count"] == 0
+            assert core._screened_maxima(inst, u)[1] > 0.0
+
     def test_memory_does_not_grow_with_m_times_samples(self):
         # A dense m x samples block would take 20000 * 1000 * 8 B = 153 MiB.
         inst = gaussian(20000, 20, seed=4)
@@ -575,16 +599,18 @@ class TestFloat32Screen:
             *(f"scales-1e30-seed{seed}" for seed in range(4)),
         ],
     )
-    def test_error_bound(self, case):
+    def test_error_bound(self, case, monkeypatch):
         if case.startswith("scales-1e30"):
             # Column scales drawn from logspace(-30, 30); odd seeds also
-            # normalize the rows, so storage order and float32 are taken.
+            # normalize the rows.  Unit rows would take norm order, so those
+            # seeds pin storage order, where the float32 pass runs.
             seed = int(case[-1])
             rng = np.random.default_rng(seed)
             dense = rng.standard_normal((3000, 10))
             dense *= rng.choice(np.logspace(-30, 30, 61), 10)
             if seed % 2:
                 dense /= np.linalg.norm(dense, axis=1)[:, None]
+                monkeypatch.setattr(core, "_NORM_ORDER_SHARE", np.inf)
             u = rng.standard_normal((10, 1000))
         else:
             dense, u, _ = TestContainment.column_maxima_case(case)
@@ -635,8 +661,9 @@ class TestFloat32Screen:
     def test_out_of_float32_range_takes_the_exact_pass(self, case, monkeypatch):
         # Entries float32 cannot hold cast to inf or to zero.  The screen
         # then decides nothing, quietly, and every sample takes the exact
-        # pass.  Unit rows keep the pass in storage order, where the
-        # float32 pass runs.
+        # pass.  Unit rows would take norm order, so storage order, where
+        # the float32 pass runs, is pinned.
+        monkeypatch.setattr(core, "_NORM_ORDER_SHARE", np.inf)
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((400, 3))
         dense /= np.linalg.norm(dense, axis=1)[:, None]
