@@ -11,13 +11,17 @@ with 17 significant digits so write/read round-trips reproduce float64
 entries exactly.
 
 The header, the comment lines and the size line are read line by line; the
-entry block after them is parsed in bulk by one ``numpy.loadtxt`` call.  The
-per-line parser is the reference: it takes over whenever the bulk parse
-raises or its result fails a check (entry count, index range), which is
-what a ``%`` comment or any other non-data line inside the entry block
-does, and for a file holding a byte that Python ends lines at but numpy
-does not.  So both accept the same files and give bitwise-identical
-matrices, and every error still names its line.
+entry block after them is parsed in bulk by one ``numpy.loadtxt`` call.
+That call is given the file's path and told to skip the preamble's lines,
+so numpy reads the file in chunks of 16384 characters; given an open
+handle, it would make one Python string per entry, which cost about 15%
+of the read.  The per-line parser is the reference: it takes over whenever the
+bulk parse raises or its result fails a check (entry count, index range),
+which is what a ``%`` comment or any other non-data line inside the entry
+block does, and for a file holding a byte that Python ends lines at but
+numpy does not, or named with a suffix numpy would decompress.  So both
+accept the same files and give bitwise-identical matrices, and every error
+still names its line.
 
 Coordinate indices are read as int32 whenever the size line allows (both
 dimensions below 2^31, by ``core._index_dtype``), by both parsers, and the
@@ -25,7 +29,8 @@ bulk parse shifts them to 0-based in place; the CSR arrays are then int32,
 as ``generators.generate`` makes them.  Reading ``sparse-bernoulli``
 50000x40 at density 0.05 peaks near 50 bytes per stored entry under
 tracemalloc: the 16-byte ``(i, j, v)`` records, a copy of the values, and
-the CSR build (tier 1 holds 20000x40 to 64).  A size line that declares
+the CSR build.  At 20000x40 numpy's fixed read buffers weigh more and it
+peaks near 52 (tier 1 holds it to 64).  A size line that declares
 more rows than the file has entries allocates nothing that grows with the
 row count (see ``core._adopt``), and the byte scan before the bulk parse
 reads 64 KiB at a time.
@@ -38,6 +43,7 @@ of ``A``.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -56,6 +62,10 @@ _ARRAY_ENTRY = np.dtype([("v", np.float64)])
 # numpy.loadtxt reads them as spaces; a file holding one is left to the
 # per-line parser.
 _SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+# numpy.loadtxt decompresses a path with one of these suffixes; such a file
+# goes to the per-line parser, which reads it as it is.
+_NUMPY_DECOMPRESSES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 def _tokens(text: str, lineno: int, count: int, what: str) -> list[str]:
@@ -160,21 +170,31 @@ def _parse_bulk(path):
     None hands the file to the per-line parser, which then decides what it
     holds or which line is wrong: it, not numpy, defines a valid file.
     """
+    name = os.fsdecode(path)
+    if os.path.splitext(name)[1] in _NUMPY_DECOMPRESSES:
+        return None
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(1 << 16), b""):
             if any(mark in chunk for mark in _SPLITLINES_ONLY_BREAKS):
                 return None
-    with open(path, "r", encoding="ascii") as handle, warnings.catch_warnings():
+    with warnings.catch_warnings():
         # Any warning (no data; an int read as a float in older numpy) fails it.
         warnings.simplefilter("error")
         try:
-            layout, m, n, count, _ = _read_preamble(enumerate(handle, start=1))
+            with open(path, "r", encoding="ascii") as handle:
+                layout, m, n, count, size_lineno = _read_preamble(enumerate(handle, start=1))
             if layout == "coordinate":
                 index = _index_dtype(m, n)
                 dtype = np.dtype([("i", index), ("j", index), ("v", np.float64)])
             else:
                 dtype = _ARRAY_ENTRY
-            block = np.loadtxt(handle, dtype=dtype, comments=None, ndmin=1)
+            # numpy reads a str path in chunks but iterates any other input
+            # line by line.  It would fetch a path with a scheme and a host as
+            # a URL, which an absolute path never has.  It splits lines in
+            # universal newline mode, as the handle above does, so the entries
+            # start right after size_lineno lines.
+            block = np.loadtxt(os.path.join(os.getcwd(), name), dtype=dtype, comments=None,
+                               skiprows=size_lineno, ndmin=1, encoding="ascii")
         except (ParseError, ValueError, OverflowError, Warning):  # bad text or encoding
             return None
     if not count or block.shape != (count,):

@@ -364,6 +364,31 @@ ENTRY_BLOCKS = {
     "array-plain": (ARRAY_2X1, "1.5\n-2\n", True),
     "array-two-values-on-one-line": (ARRAY_2X1, "1.5 -2\n", False),
     "array-comment-line": (ARRAY_2X1, "1.5\n%\n-2\n", False),
+    # The bulk parse skips as many lines as the preamble took.
+    "comments-and-blanks-before-size": (
+        "%%MatrixMarket matrix coordinate real general\n% by hand\n\n   \n%\n2 2 2\n",
+        "1 1 2.5\n2 2 -1\n",
+        True,
+    ),
+    "blank-lines-before-header": ("\n  \n\t\n" + COORDINATE_2X2, "1 1 2.5\n2 2 -1\n", True),
+    "cr-preamble": (
+        "\r%%MatrixMarket matrix coordinate real general\r% by hand\r\r2 2 2\r",
+        "1 1 2.5\r2 2 -1\r",
+        True,
+    ),
+    "cr-preamble-lf-entries": (COORDINATE_2X2.replace("\n", "\r"), "1 1 2.5\n2 2 -1\n", True),
+    "crlf-preamble": (
+        "\r\n%%MatrixMarket matrix coordinate real general\r\n% by hand\r\n\r\n2 2 2\r\n",
+        "1 1 2.5\n2 2 -1\n",
+        True,
+    ),
+    "comment-after-size-line": (COORDINATE_2X2, "% note\n1 1 2.5\n2 2 -1\n", False),
+    "array-comments-and-blanks-before-size": (
+        " \n%%MatrixMarket matrix array real general\r\n%\r\r\n2 1\r",
+        "1.5\n-2\n",
+        True,
+    ),
+    "array-comment-after-size-line": (ARRAY_2X1, "%\n1.5\n-2\n", False),
 }
 
 
@@ -392,6 +417,56 @@ class TestBulkMatchesPerLine:
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
         monkeypatch.setattr(mmio, "_parse_bulk", lambda path: None)
         assert outcome(path) == default
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compression_suffix_is_read_as_plain_text(self, tmp_path, suffix):
+        # numpy would decompress a path with this suffix.
+        path = tmp_path / f"block.mtx{suffix}"
+        path.write_text(COORDINATE_2X2 + "1 1 2.5\n2 2 -1\n")
+        assert mmio._parse_bulk(path) is None
+        assert np.array_equal(read_matrix_market(path).toarray(), [[2.5, 0.0], [0.0, -1.0]])
+
+    def test_url_shaped_relative_path_is_a_local_file(self, tmp_path, monkeypatch):
+        # numpy would fetch a path with a scheme and a host.
+        import urllib.request
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the read went to the network")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "m.mtx").write_text(COORDINATE_2X2 + "1 1 2.5\n2 2 -1\n")
+        monkeypatch.chdir(tmp_path)
+        name = "http://host/m.mtx"
+        assert mmio._parse_bulk(name) is not None
+        assert np.array_equal(read_matrix_market(name).toarray(), [[2.5, 0.0], [0.0, -1.0]])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("sparse-bernoulli", 20000, 10, density=0.2, seed=3),
+            GeneratorSpec("gaussian-dense", 20000, 3, seed=3),
+        ],
+        ids=["coordinate", "array"],
+    )
+    def test_entry_block_across_read_chunks(self, tmp_path, monkeypatch, spec, newline):
+        # numpy reads a path in chunks, so some entries straddle a chunk end.
+        path = tmp_path / "big.mtx"
+        write_matrix_market(path, generate(spec))
+        text = path.read_text()
+        assert len(text.split("\n", 2)[2]) >= 2**20
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+
+        def no_fallback(path):
+            raise AssertionError("the bulk parse handed the file on")
+
+        monkeypatch.setattr(mmio, "_parse_lines", no_fallback)
+        bulk = outcome(path)
+        assert isinstance(bulk[0], bytes)
+        monkeypatch.undo()
+        monkeypatch.setattr(mmio, "_parse_bulk", lambda path: None)
+        assert outcome(path) == bulk
 
     def test_non_ascii_byte_raises_decode_error(self, tmp_path):
         path = tmp_path / "block.mtx"
