@@ -182,18 +182,17 @@ def containment_check(
     positive multiple of its u.  Core's column-maximum pass
     (``core._column_maxima``) forms them exactly, in row blocks of
     ``max(1, core._BLOCK_ELEMENTS // samples)`` rows whose products fill one
-    block of about 1 MiB.  Where Holder's bound ``||a_i||_1 ||u_j||_inf``
-    shows in its first block that many rows cannot set a maximum, it visits
+    block of about 1 MiB.  Storage picks the pass.  On CSR ``A`` it visits
     rows by decreasing l1 norm and stops each direction once no unvisited
-    row's bound can exceed its maximum.
-    Otherwise, on dense ``A``, the other blocks are multiplied in float32
+    row's Holder bound ``||a_i||_1 ||u_j||_inf`` can exceed its maximum.  On
+    dense ``A`` every row block is first multiplied in float32
     (``core._screened_maxima``), giving each maximum to within a proven
     bound E.  A sample whose tests pass with its maximum raised by E
     (inner) and lowered by E (outer) passes them exactly; only the other
-    samples take the exact pass, and the counts are the exact pass's.
-    Scratch memory is that block (two for dense rows in norm order) plus
-    O(n * samples), and, in norm order, the O(m) row bounds and order;
-    never m x samples.
+    samples take the exact pass, over every row in storage order, and the
+    counts are the exact pass's.  Scratch memory is one block at a time
+    plus O(n * samples), and, on CSR, the O(m) row bounds and order; never
+    m x samples.
     """
     check_count("samples", samples)
     check_count("seed", seed, minimum=0)

@@ -11,8 +11,10 @@ validated (:func:`build_instance`, :func:`_adopt`).  This module owns:
   :func:`leverage_scores`);
 * every pass over ``A``.  :func:`_row_blocks` alone cuts ``A`` into row
   blocks within the scratch budget ``_BLOCK_ELEMENTS``, reduced per row by
-  :func:`_row_norms` or per column by :func:`_column_maxima` (and, mostly
-  in float32 within a proven bound, :func:`_screened_maxima`); CSR with
+  :func:`_row_norms` or per column by :func:`_column_maxima` and
+  :func:`_screened_maxima`.  Storage alone picks containment's pass: dense
+  ``A`` in storage order, mostly in float32 within a proven bound; CSR
+  ``A`` by decreasing l1 norm, skipping rows by Holder's bound.  CSR with
   sparse rows sweeps through its row-pair operator ``P`` (:class:`_Pairs`)
   instead.  How ``A`` is stored matters to this module alone.
 
@@ -61,17 +63,6 @@ GRAM_PIVOT_FLOOR = 1e-14
 # 50000x50 and slightly slower at 2^18; at 20000x200, 2^15 was 27% slower
 # than 2^17.
 _BLOCK_ELEMENTS = 2**17
-# Containment's column-maximum pass (_column_maxima) visits rows in
-# decreasing l1 norm only when, in its first row block, at least this share
-# of the row-direction pairs already has a Holder bound below the
-# direction's running maximum.  Seeds 0-4 and 7 put that share at 0.65-0.72
-# on sparse-bernoulli:50000x40:density=0.05, 0.021-0.064 at density 0.3,
-# 0.050-0.080 on gaussian-dense:2000x10, and 0 on gaussian-dense at 50000x50
-# and 1500x40.  Norm order costs an argsort and random-row gathers, and no
-# direction retired on the dense shapes: always taking it made the dense
-# pass 10% slower at 50000x50 and 24% at 1500x40 (medians of 300
-# alternating in-process runs, 2-vCPU Xeon VM).
-_NORM_ORDER_SHARE = 1 / 8
 # The two factors of the l1 bound are floored here (2^-485): a row whose
 # computed l1 norm is below it gets an infinite bound, and a direction
 # factor below it is raised to it, so that every finite bound is at least
@@ -419,11 +410,9 @@ def _pair_operator(a: sp.csr_array) -> _Pairs | None:
     return _Pairs(op, op.T, _lock(mirror), _lock(double))
 
 
-def _row_blocks(
-    inst: PolytopeInstance, width: int, order: np.ndarray | None = None, begin: int = 0
-):
-    """Yield ``(start, block, out)`` over the row blocks of ``A`` from row
-    ``begin`` on: the one place ``A`` is cut into rows.
+def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = None):
+    """Yield ``(start, block, out)`` over the row blocks of ``A``: the one
+    place ``A`` is cut into rows.
 
     A block takes ``max(1, _BLOCK_ELEMENTS // width)`` rows, so a product or
     copy of ``width`` elements per row fits the scratch budget, and ``out``
@@ -437,28 +426,19 @@ def _row_blocks(
     dense block is a view of ``A``, and a CSR block shares ``A``'s data and
     indices and gets its own shifted ``indptr`` (scipy's row slicing copies
     all three, which at containment's 1000-sample blocks of 131 rows costs a
-    tenth of the pass).  With ``order``, an array of row indices, the blocks
-    are ``A[order[start:stop]]``, gathered (``order`` must hold valid row
-    indices): dense rows by ``np.take`` into a second scratch block, CSR
-    rows through their ``indptr`` runs into new arrays of the block's
-    nonzeros alone, so no permuted copy of ``A`` is made.
+    tenth of the pass).  With ``order``, an array of valid row indices of
+    CSR ``A``, the blocks are ``A[order[start:stop]]``, gathered through
+    their ``indptr`` runs into new arrays of the block's nonzeros alone, so
+    no permuted copy of ``A`` is made.
     """
     a = inst.matrix
     m = inst.m if order is None else order.size
     rows = min(m, max(1, _BLOCK_ELEMENTS // width))
-    dense = not inst.is_sparse
-    scratch = np.empty((rows, width)) if dense else None
-    gathered = np.empty((rows, inst.n)) if dense and order is not None else None
-    for start in range(begin, m, rows):
+    scratch = None if inst.is_sparse else np.empty((rows, width))
+    for start in range(0, m, rows):
         stop = min(start + rows, m)
-        if dense:
-            if order is None:
-                block = a[start:stop]
-            else:
-                # The rows are valid indices; mode="raise" would buffer out.
-                picked = order[start:stop]
-                block = np.take(a, picked, axis=0, out=gathered[: stop - start], mode="clip")
-            yield start, block, scratch[: stop - start]
+        if scratch is not None:
+            yield start, a[start:stop], scratch[: stop - start]
             continue
         if order is None:
             lo, hi = a.indptr[start], a.indptr[stop]
@@ -522,44 +502,25 @@ def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _row_l1_norms(a, out) -> np.ndarray:
-    """``||a_i||_1`` for every row of ``a``, with ``inf`` where it is below
-    ``_NORM_FLOOR``: ``a`` is CSR ``A`` or a block of :func:`_row_blocks`,
-    and ``out`` that block's scratch.
-
-    CSR rows reduce over their ``indptr`` runs (no row is empty:
-    :func:`build_instance` rejects zero rows); dense rows take their
-    absolute values into the leading elements of ``out``, so only the norms
-    are allocated.
-    """
-    if out is None:
-        norms = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
-    else:
-        x = out.reshape(-1)[: a.size].reshape(a.shape)
-        norms = np.abs(a, out=x).sum(axis=1)
-    norms[norms < _NORM_FLOOR] = np.inf
-    return norms
-
-
 def _l1_norms(inst: PolytopeInstance) -> np.ndarray:
-    """:func:`_row_l1_norms` of every row of ``A``; dense rows go one block
-    of :func:`_row_blocks` at a time, so no ``m x n`` array is formed."""
-    if inst.is_sparse:
-        return _row_l1_norms(inst.matrix, None)
-    norms = np.empty(inst.m)
-    for start, block, out in _row_blocks(inst, inst.n):
-        norms[start : start + block.shape[0]] = _row_l1_norms(block, out)
+    """``||a_i||_1`` for every row of CSR ``A``, reduced over the rows'
+    ``indptr`` runs (no row is empty: :func:`build_instance` rejects zero
+    rows), with ``inf`` where it is below ``_NORM_FLOOR``."""
+    a = inst.matrix
+    norms = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
+    norms[norms < _NORM_FLOOR] = np.inf
     return norms
 
 
 def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     """``max_i |a_i^T right_j|`` for every column j of ``right``, exactly: each
     is the largest of the computed products, as an exhaustive pass over
-    every row would find it, but rows that provably cannot raise a maximum
-    are skipped.
+    every row would find it.
 
-    Every computed ``|a_i^T v_j|`` is at most ``h_ij = ||a_i||_1 * c_j``
-    with ``c_j = max(||v_j||_inf * (1 + 4 (n + 2) eps), _NORM_FLOOR)``
+    Dense ``A`` is multiplied row block by row block in storage order, on
+    views of ``A``.  CSR ``A`` skips the rows that provably cannot raise a
+    maximum.  Every computed ``|a_i^T v_j|`` is at most ``h_ij = ||a_i||_1 *
+    c_j`` with ``c_j = max(||v_j||_inf * (1 + 4 (n + 2) eps), _NORM_FLOOR)``
     (:func:`_l1_norms`; eps = 2u, u = 2^-53 the unit roundoff).  By Higham
     (*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3), a
     dot product of length n summed in any order, with or without FMA, obeys
@@ -582,111 +543,39 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     weights or the factor of ``Q`` prunes the pass, which is what
     containment checks.
 
-    Rows are visited in decreasing ``||a_i||_1``, and column j retires once
-    its running maximum is at least ``h_ij`` of the next unvisited row i
-    (rounding is monotone, so no later row's bound is larger and the test
-    may be non-strict).  Once the live columns are half of those being
-    multiplied they are compacted into a contiguous copy of ``right[:,
-    live]``; the walk stops when none is live.  The order costs ``O(m)``
-    norms and an argsort, and random-row gathers, which pay only when
-    columns retire early: the first row block is walked in storage order,
-    and the pass is redone in norm order (the first block's rows then change
-    no maximum) only if at least ``_NORM_ORDER_SHARE`` of its row-column
-    pairs have ``h_ij`` below the column's running maximum.  Otherwise
-    storage order continues, on views of ``A``.  That count, taken as
-    ``||a_i||_1 < maxima_j / c_j`` so that only a boolean block is formed,
-    only picks the order; no maximum depends on it or on its rounding.
+    CSR rows are visited in decreasing ``||a_i||_1``, gathered by
+    :func:`_row_blocks`, and column j retires once its running maximum is at
+    least ``h_ij`` of the next unvisited row i (rounding is monotone, so no
+    later row's bound is larger and the test may be non-strict).  Once the
+    live columns are half of those being multiplied they are compacted into
+    a contiguous copy of ``right[:, live]``; the walk stops when none is
+    live.  A CSR product does not depend on which rows share its block, so
+    the order moves no maximum's bits.  Dense rows are not walked: on
+    Gaussian rows no direction retires, and the gathers made the pass 10%
+    slower at 50000x50 and 24% at 1500x40 (2-vCPU Xeon VM).  Dense
+    containment decides most samples by :func:`_screened_maxima`'s float32
+    pass over every row instead.
     """
-    return _maxima(inst, right, screen=False)[0]
-
-
-def _screened_maxima(inst: PolytopeInstance, right: np.ndarray) -> tuple[np.ndarray, float]:
-    """Column maxima of ``|A right|`` as ``(approx, E)``: each ``approx[j]``
-    is within ``E`` of the maximum ``M_j`` that :func:`_column_maxima`
-    computes for any set of columns holding ``right_j``, and most of ``A``
-    is multiplied in float32.
-
-    Dense ``A`` is probed as in :func:`_column_maxima`.  If the probe picks
-    norm order, or ``A`` is CSR or wider than ``_SCREEN_MAX_COLUMNS``, the
-    maxima are exact and ``E = 0``.  Otherwise the first block's float64
-    maxima are kept, and the remaining storage-order blocks are cast to
-    float32 with ``right`` and multiplied there.  Each column of the float32
-    product is reduced by ``max`` and ``min``, and ``approx[j]`` is the
-    largest of the first block's maximum, the largest float32 product and
-    minus the smallest.  ``E`` is the same for every column:
-
-        E = (1 + 2^-20) (g (1 + v)^2 + 2v + v^2 + G) N S + (1 + S) n 2^-122,
-
-    with ``v = 2^-24`` and ``g = gamma_n = nv / (1 - nv)`` in float32,
-    ``G = gamma_n`` in float64 (u = 2^-53), ``N`` the largest computed row
-    norm of ``A`` and ``S = max_j ||right_j|| (1 + 4 (n + 2) eps)``.  For
-    row ``a`` and column ``r``, the casts give ``a'_k = a_k (1 + d_k)`` and
-    ``r'_k = r_k (1 + e_k)`` with ``|d_k|, |e_k| <= v``, so ``|a'^T r' - a^T
-    r| <= (2v + v^2) |a|^T |r|``.  The
-    float32 dot product of length n, in any order, with or without FMA, is
-    within ``g |a'|^T |r'| <= g (1 + v)^2 |a|^T |r|`` of ``a'^T r'``, and
-    the float64 product that ``M_j`` takes is within ``G |a|^T |r|`` of
-    ``a^T r`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., ch. 3).  The first block's rows are float64 on both sides, so
-    within ``2G |a|^T |r|`` of each other, less than the float32 rows'
-    coefficient since ``g >= G``.  ``|a|^T |r| <= ||a|| ||r||`` by
-    Cauchy-Schwarz, and two maxima differ by at most the largest difference
-    of the values they are taken over (``max`` and ``min`` are exact).  The
-    factor ``1 + 2^-20`` covers the computed norms, each at least ``(1 -
-    G)(1 - u)`` times the true one, and the roundings of forming ``E``, for
-    ``n <= _SCREEN_MAX_COLUMNS``.  The absolute term covers float32
-    underflow: a cast, product or sum that underflows, or is flushed to
-    zero, errs by at most ``2^-126``, which adds at most ``(sqrt(n) S + 2n)
-    2^-126`` to a float32 product; float64 underflow in ``M_j`` and in the
-    norms is far smaller.  An entry outside float32's range casts to
-    ``inf`` or to zero: the first makes ``approx[j]`` ``inf`` or NaN, and
-    the second stays inside the absolute term.  The float32 products may
-    vary with the BLAS thread count; ``E`` covers every order.
-    """
-    screen = not inst.is_sparse and inst.n <= _SCREEN_MAX_COLUMNS
-    return _maxima(inst, right, screen)
-
-
-def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np.ndarray, float]:
-    # The pass of _column_maxima (screen=False, E = 0) and _screened_maxima.
     samples = right.shape[1]
     maxima = np.zeros(samples)
-    # Column j's bound on row i is l1[i] * factor[j], Holder's ||a_i||_1 *
+    if not inst.is_sparse:
+        for _, block, out in _row_blocks(inst, samples):
+            x = _product(block, right, out)
+            np.maximum(maxima, np.abs(x, out=x).max(axis=0), out=maxima)
+        return maxima
+    # Column j's bound on row i is bounds[i] * factor[j], Holder's ||a_i||_1 *
     # ||u_j||_inf * margin.
     factor = np.maximum(right.max(axis=0), -right.min(axis=0))
     factor *= 1.0 + 4 * (inst.n + 2) * np.finfo(float).eps
     np.maximum(factor, _NORM_FLOOR, out=factor)
-    # The scratch holds a product block and, for the probe, the block's
-    # absolute values.
-    blocks = _row_blocks(inst, max(samples, inst.n))
-    for start, block, out in blocks:
-        x = _product(block, right, out)
-        np.maximum(maxima, np.abs(x, out=x).max(axis=0), out=maxima)
-        del x  # one product block live at a time, also for CSR
-        if start == 0 and block.shape[0] < inst.m:
-            # One comparison of ~131 x samples pairs; np.sort and
-            # searchsorted would page in sorting code that a storage-order
-            # pass never needs (0.3 MiB more peak RSS on dense inputs).
-            first = _row_l1_norms(block, out)
-            below = np.count_nonzero(first[:, None] < maxima / factor)
-            norm_order = below >= _NORM_ORDER_SHARE * first.size * samples
-            if norm_order or screen:
-                break
-    else:
-        return maxima, 0.0
-    rows = block.shape[0]
-    del blocks, block, out  # the float64 scratch block is freed here
-    if not norm_order:
-        return _float32_maxima(inst, right, maxima, rows)
-
     bounds = _l1_norms(inst)
     order = np.argsort(bounds)[::-1]
     bounds = bounds[order]
     live, columns = np.arange(samples), right
-    for start, block, out in _row_blocks(inst, samples, order):
-        x = _product(block, columns, out)
+    for start, block, _ in _row_blocks(inst, samples, order):
+        x = block @ columns
         maxima[live] = np.maximum(maxima[live], np.abs(x, out=x).max(axis=0))
-        del x
+        del x  # one product block live at a time
         stop = start + block.shape[0]
         if stop == inst.m:
             break
@@ -697,35 +586,69 @@ def _maxima(inst: PolytopeInstance, right: np.ndarray, screen: bool) -> tuple[np
         if 2 * count <= live.size:
             live, factor = live[alive], factor[alive]
             columns = right[:, live]
-    return maxima, 0.0
+    return maxima
 
 
-def _float32_maxima(
-    inst: PolytopeInstance, right: np.ndarray, maxima: np.ndarray, begin: int
-) -> tuple[np.ndarray, float]:
-    # _screened_maxima's float32 pass over rows begin.. of dense A, given the
-    # float64 maxima of rows ..begin.  Entries outside float32's range turn
-    # into inf, NaN or zero here by design, so their warnings are silenced.
+def _screened_maxima(inst: PolytopeInstance, right: np.ndarray) -> tuple[np.ndarray, float]:
+    """Column maxima of ``|A right|`` as ``(approx, E)``: each ``approx[j]``
+    is within ``E`` of the maximum ``M_j`` that :func:`_column_maxima`
+    computes for any set of columns holding ``right_j``, and dense ``A`` is
+    multiplied in float32.
+
+    CSR ``A``, and dense ``A`` wider than ``_SCREEN_MAX_COLUMNS``, get
+    :func:`_column_maxima`'s exact maxima and ``E = 0``.  Otherwise every
+    row block is cast to float32 with ``right`` and multiplied there.  Each
+    column of the float32 product is reduced by ``max`` and ``min``, and
+    ``approx[j]`` is the larger of the largest float32 product and minus the
+    smallest.  ``E`` is the same for every column:
+
+        E = (1 + 2^-20) (g (1 + v)^2 + 2v + v^2 + G) N S + (1 + S) n 2^-122,
+
+    with ``v = 2^-24`` and ``g = gamma_n = nv / (1 - nv)`` in float32,
+    ``G = gamma_n`` in float64 (u = 2^-53), ``N`` the largest computed row
+    norm of ``A`` and ``S = max_j ||right_j|| (1 + 4 (n + 2) eps)``.  For
+    row ``a`` and column ``r``, the casts give ``a'_k = a_k (1 + d_k)`` and
+    ``r'_k = r_k (1 + e_k)`` with ``|d_k|, |e_k| <= v``, so ``|a'^T r' - a^T
+    r| <= (2v + v^2) |a|^T |r|``.  The float32 dot product of length n, in
+    any order, with or without FMA, is within ``g |a'|^T |r'| <= g (1 + v)^2
+    |a|^T |r|`` of ``a'^T r'``, and the float64 product that ``M_j`` takes
+    is within ``G |a|^T |r|`` of ``a^T r`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 3).  ``|a|^T |r| <= ||a|| ||r||``
+    by Cauchy-Schwarz, and two maxima differ by at most the largest
+    difference of the values they are taken over (``max`` and ``min`` are
+    exact).  The factor ``1 + 2^-20`` covers the computed norms, each at
+    least ``(1 - G)(1 - u)`` times the true one, and the roundings of
+    forming ``E``, for ``n <= _SCREEN_MAX_COLUMNS``.  The absolute term
+    covers float32 underflow: a cast, product or sum that underflows, or is
+    flushed to zero, errs by at most ``2^-126``, which adds at most
+    ``(sqrt(n) S + 2n) 2^-126`` to a float32 product; float64 underflow in
+    ``M_j`` and in the norms is far smaller.  An entry outside float32's
+    range casts to ``inf`` or to zero: the first makes ``approx[j]`` ``inf``
+    or NaN, and the second stays inside the absolute term.  The float32
+    products may vary with the BLAS thread count; ``E`` covers every order.
+    """
+    if inst.is_sparse or inst.n > _SCREEN_MAX_COLUMNS:
+        return _column_maxima(inst, right), 0.0
     samples, n = right.shape[1], inst.n
     margin = 1.0 + 4 * (n + 2) * np.finfo(float).eps
     scale = float(np.sqrt(np.einsum("ij,ij->j", right, right).max())) * margin
-    head = inst.matrix[:begin]
+    squared = 0.0
+    # Entries outside float32's range turn into inf, NaN or zero here by
+    # design, so their warnings are silenced.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        squared = float(np.einsum("ij,ij->i", head, head).max())
         right32 = right.astype(np.float32)
         top = np.full(samples, -np.inf, dtype=np.float32)
         bottom = np.full(samples, np.inf, dtype=np.float32)
         # A float32 row of `samples` products fills half as many of the
         # budget's 8-byte elements, so these blocks take twice the rows.
-        for start, block, out in _row_blocks(inst, -(-samples // 2), begin=begin):
+        for _, block, out in _row_blocks(inst, -(-samples // 2)):
             size = block.shape[0] * samples
             x = out.reshape(-1).view(np.float32)[:size].reshape(-1, samples)
             np.matmul(block.astype(np.float32), right32, out=x)
             np.maximum(top, x.max(axis=0), out=top)
             np.minimum(bottom, x.min(axis=0), out=bottom)
             squared = max(squared, float(np.einsum("ij,ij->i", block, block).max()))
-        np.maximum(maxima, top, out=maxima)
-        np.maximum(maxima, -bottom, out=maxima)
+        maxima = np.maximum(top, -bottom).astype(float)
         v, u = 2.0**-24, np.finfo(float).eps / 2
         g, big_g = n * v / (1 - n * v), n * u / (1 - n * u)
         coef = (1 + 2.0**-20) * (g * (1 + v) ** 2 + 2 * v + v * v + big_g)

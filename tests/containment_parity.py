@@ -2,26 +2,27 @@
 benchmark workloads.
 
 For each workload in ``perfbench/workloads.py`` at seeds 0-4 and the
-held-out seed 7, sets up, solves and grades once, then grades again with
+held-out seed 7, sets up, solves and grades once, then grades again without
+the shortcut.  Dense ``A`` is graded again with
 ``certification._screened_maxima`` replaced by the exact column-maximum
-pass, so that every sample takes it.  On CSR, which always takes the exact
-pass but may skip rows in norm order, it grades instead with
-``core._NORM_ORDER_SHARE`` set to infinity, so that the first-block probe
-never picks norm order and every row is multiplied.  Every ``certify``
-field must be equal bit for bit.  The report's containment fields are
-violation counts, which a wrong maximum need not change, so the column
-maxima of certify's own directions are compared too: ``core._column_maxima``
-against a run with the share at infinity, bit for bit on CSR and within one
-ulp on dense ``A`` (BLAS may round a dense row by its place in a block).
-All runs happen in a fresh process with ``OPENBLAS_NUM_THREADS=1`` and in
-one on the default thread count.
+pass, so that every sample takes it.  CSR ``A``, which always takes the
+exact pass but skips rows in its walk by l1 norm, is graded again with
+``core._l1_norms`` giving every row an infinite bound, so that no direction
+retires and every row is multiplied.  Every ``certify`` field must be equal
+bit for bit.  The report's containment fields are violation counts, which a
+wrong maximum need not change, so the column maxima of certify's own
+directions are checked too: on CSR, ``core._column_maxima`` against the
+every-row walk, bit for bit; on dense ``A``, ``core._screened_maxima``'s
+``approx`` within its bound ``E`` of ``core._column_maxima``.  All runs
+happen in a fresh process with ``OPENBLAS_NUM_THREADS=1`` and in one on the
+default thread count.
 
     python tests/containment_parity.py
 
-prints one line per workload, seed and thread count, saying whether the
-screen ran and how many samples it left to the exact pass, or, on CSR,
-how many rows containment visited against the every-row run, and exits 1
-if a field or a maximum differs.
+prints one line per workload, seed and thread count, saying how many
+samples the screen left to the exact pass, or, on CSR, how many rows
+containment visited against the every-row walk, and exits 1 if a field or
+a maximum differs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _compare(work_dir: Path) -> list[dict]:
     from johnellip import certification, core
 
     screen, exact = certification._screened_maxima, certification._column_maxima
-    walk, share = core._row_blocks, core._NORM_ORDER_SHARE
+    walk, l1_norms = core._row_blocks, core._l1_norms
     errors, undecided = [], []
     visited = {"width": None, "rows": 0}
 
@@ -67,35 +68,31 @@ def _compare(work_dir: Path) -> list[dict]:
             visited["rows"] += block.shape[0] if width == visited["width"] else 0
             yield start, block, out
 
-    def walked(grade, threshold):
-        # The report of one grade with the probe's share at threshold, and
-        # the rows that containment's passes visited.
+    def unbounded(inst):
+        return np.full(inst.m, np.inf)
+
+    def walked(run, bounds):
+        # What run() returns with the walk's row bounds from bounds, and the
+        # rows that containment's passes visited.
         visited["rows"] = 0
-        core._row_blocks, core._NORM_ORDER_SHARE = counting_walk, threshold
+        core._row_blocks, core._l1_norms = counting_walk, bounds
         try:
-            report = grade()["report"]
+            result = run()
         finally:
-            core._row_blocks, core._NORM_ORDER_SHARE = walk, share
-        return report, visited["rows"]
+            core._row_blocks, core._l1_norms = walk, l1_norms
+        return result, visited["rows"]
 
     def maxima_differ(inst, seed, samples):
-        # certify's directions for this seed, through the column-maximum
-        # pass as chosen and with every row multiplied in storage order.
+        # certify's directions for this seed, through the shortcut and
+        # through the pass it stands in for.
         u = np.random.default_rng(seed).standard_normal((inst.n, samples))
         u /= np.linalg.norm(u, axis=0)
-        chosen = core._column_maxima(inst, u)
-        core._NORM_ORDER_SHARE = float("inf")
-        try:
-            reference = core._column_maxima(inst, u)
-        finally:
-            core._NORM_ORDER_SHARE = share
         if inst.is_sparse:
+            chosen = core._column_maxima(inst, u)
+            reference, _ = walked(lambda: core._column_maxima(inst, u), unbounded)
             return not np.array_equal(chosen, reference)
-        try:
-            np.testing.assert_array_max_ulp(chosen, reference, maxulp=1)
-        except AssertionError:
-            return True
-        return False
+        approx, error = core._screened_maxima(inst, u)
+        return not np.all(np.abs(approx - core._column_maxima(inst, u)) <= error)
 
     out = []
     for name, workload in WORKLOADS.items():
@@ -105,26 +102,25 @@ def _compare(work_dir: Path) -> list[dict]:
             solved = workload.solve(inst, seed)
 
             def grade():
-                return workload.grade(inst, solved, seed)
+                return workload.grade(inst, solved, seed)["report"]
 
             if inst.is_sparse:
-                chosen, rows = walked(grade, share)
-                reference, every = walked(grade, float("inf"))
-                path = (f"{'l1 walk' if rows < every else 'storage order'}, {rows} rows; "
-                        f"every row: {every} rows")
+                chosen, rows = walked(grade, l1_norms)
+                reference, every = walked(grade, unbounded)
+                path = f"l1 walk, {rows} rows; every row: {every} rows"
             else:
                 errors.clear()
                 undecided.clear()
                 certification._screened_maxima = recording_screen
                 certification._column_maxima = counting_exact
                 try:
-                    chosen = grade()["report"]
+                    chosen = grade()
                 finally:
                     certification._screened_maxima = screen
                     certification._column_maxima = exact
                 certification._screened_maxima = exact_only
                 try:
-                    reference = grade()["report"]
+                    reference = grade()
                 finally:
                     certification._screened_maxima = screen
                 path = (f"{sum(undecided)} samples undecided" if errors[0] > 0.0

@@ -216,10 +216,10 @@ class TestContainment:
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_violation_counts_hold_when_directions_retire(self, storage, monkeypatch):
-        # Rows of norm 0.1 to 10 send the column-maximum pass to norm order,
-        # where directions retire before the last row.  Weights grow as the
-        # squared row norm, so the long rows that set ||A u||_inf carry the
-        # mass and some outer tests still fail.
+        # Rows of norm 0.1 to 10: on CSR the column-maximum pass walks them
+        # by l1 norm, and directions retire before the last row.  Weights
+        # grow as the squared row norm, so the long rows that set ||A u||_inf
+        # carry the mass and some outer tests still fail.
         visited = self.count_visited_rows(monkeypatch, 4000)
         self.check_violation_counts(storage, np.logspace(-1, 1, 300))
         assert visited["rows"] < 300
@@ -310,8 +310,8 @@ class TestContainment:
             # 1000 samples cut blocks of 131 rows, and 262 rows are two exactly.
             # Long rows on the first three coordinates alternate with short
             # ones on the last three, and half the directions lie in each
-            # group: in norm order the long rows fill the first block, and the
-            # directions they cannot reach stay live to the last row.
+            # group: in CSR's l1 order the long rows fill the first block, and
+            # the directions they cannot reach stay live to the last row.
             dense = np.zeros((262, 6))
             dense[0::2, :3] = 10.0 * rng.standard_normal((131, 3))
             dense[1::2, 3:] = rng.standard_normal((131, 3))
@@ -374,15 +374,15 @@ class TestContainment:
             np.testing.assert_array_max_ulp(maxima, expected, maxulp=1)
         if case == "sparse-2000x8-csr":
             assert visited["rows"] < inst.m
-        if case == "gaussian-dense":
-            assert visited["rows"] == inst.m
-        if case.startswith("tie"):
-            assert visited["rows"] == 2 * 131  # one block in each order
+        if storage == "dense":
+            assert visited["rows"] == inst.m  # dense A never walks
+        if case == "tie-csr":
+            assert visited["rows"] == 131  # one block in l1 order
 
     @staticmethod
     def count_norm_order_walks(monkeypatch):
         # The column-maximum pass takes the rows' l1 norms once per walk in
-        # norm order, and never in storage order.
+        # l1 order, which CSR A always takes and dense A never does.
         walks = {"count": 0}
         l1_norms = core._l1_norms
 
@@ -405,9 +405,9 @@ class TestContainment:
     def test_holder_walk_visits_fewer_rows(self, storage, monkeypatch):
         # sparse-mtx's rows, about 2 nonzeros in 40 columns: for a unit
         # Gaussian u, ||a||_1 ||u||_inf is about half of ||a||_2 ||u||_2.
-        # At this seed the walk visits 1179 of the 4367 rows, the probe's
-        # block included; retiring by ||a_i||_2 max_j ||u_j||_2 instead
-        # would visit 2751.
+        # At this seed the CSR walk visits 1048 of the 4367 rows; retiring
+        # by ||a_i||_2 max_j ||u_j||_2 instead would visit 2751.  The same
+        # rows stored dense are multiplied in storage order, every one.
         inst = generate(GeneratorSpec("sparse-bernoulli", 5000, 40, density=0.05, seed=0))
         if storage == "dense":
             inst = build_instance(inst.toarray())
@@ -416,18 +416,23 @@ class TestContainment:
         walks = self.count_norm_order_walks(monkeypatch)
         visited = self.count_visited_rows(monkeypatch, 1000)
         self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
-        assert walks["count"] == 1
-        assert visited["rows"] < inst.m // 3
+        if storage == "csr":
+            assert walks["count"] == 1
+            assert visited["rows"] < inst.m // 3
+        else:
+            assert walks["count"] == 0
+            assert visited["rows"] == inst.m
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_holder_walk_retires_at_an_equal_bound(self, storage, monkeypatch):
         # Rows c e_k with c a power of two, and directions +-(e_k + (e_{k+1}
         # + e_{k+2}) / 4), so every product and l1 norm is exact and
         # ||u||_inf = 1 < ||u||_2.  At n = 3 the margin is 1 + 20 eps.  The
-        # walk's first block holds 130 rows of 2^12 or 2^13 on e_1 and e_2
-        # and the row 2^11 (1 + 20 eps) e_0, the maximum of the directions on
-        # e_0; the next rows, 2^11 e_k, bound them by exactly that maximum,
-        # and the non-strict test retires them.
+        # CSR walk's first block holds 130 rows of 2^12 or 2^13 on e_1 and
+        # e_2 and the row 2^11 (1 + 20 eps) e_0, the maximum of the
+        # directions on e_0; the next rows, 2^11 e_k, bound them by exactly
+        # that maximum, and the non-strict test retires them.  Dense A never
+        # walks.
         rng = np.random.default_rng(5)
         dense = np.zeros((600, 3))
         dense[np.arange(600), rng.integers(0, 3, 600)] = rng.choice(
@@ -443,8 +448,12 @@ class TestContainment:
         walks = self.count_norm_order_walks(monkeypatch)
         visited = self.count_visited_rows(monkeypatch, 1000)
         self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
-        assert walks["count"] == 1
-        assert visited["rows"] == 2 * 131  # one block in each order
+        if storage == "csr":
+            assert walks["count"] == 1
+            assert visited["rows"] == 131  # one block in l1 order
+        else:
+            assert walks["count"] == 0
+            assert visited["rows"] == inst.m
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_holder_walk_keeps_its_rounding_margin(self, storage, monkeypatch):
@@ -453,9 +462,8 @@ class TestContainment:
         # each product is within a few ulps of the Holder bound.  130 long
         # rows on e_3..e_5, which the directions barely reach, fill the first
         # norm-order block ahead of the copies, and 60 rows 2.5 e_k (k >= 3)
-        # sit among the short rows.  At this seed a bound without its
-        # rounding margin misses 440 CSR maxima, and 16 dense ones by more
-        # than an ulp.
+        # sit among the short rows.  At this seed a CSR walk without the
+        # bound's rounding margin misses 440 maxima.  Dense A never walks.
         rng = np.random.default_rng(9)
         eps = np.finfo(float).eps
         row = rng.uniform(0.5, 2, 3) * rng.choice([-1.0, 1.0], 3)
@@ -472,21 +480,23 @@ class TestContainment:
         inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
         walks = self.count_norm_order_walks(monkeypatch)
         self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
-        assert walks["count"] == 1
+        assert walks["count"] == (storage == "csr")
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_holder_walk_visits_rows_below_the_floor_first(self, storage, monkeypatch):
         # Rows scaled to l1 norms below _NORM_FLOOR (2^-485), some of them
-        # with subnormal entries, get an infinite bound and lead the walk;
-        # rows just above it keep a finite bound.
+        # with subnormal entries, get an infinite bound and lead the CSR
+        # walk; rows just above it keep a finite bound.  Dense A never
+        # walks.
         inst = generate(GeneratorSpec("sparse-bernoulli", 5000, 40, density=0.05, seed=0))
         dense = inst.toarray()
         tiny = np.arange(1000, 1040)
         dense[tiny] *= (2.0**-490 / np.abs(dense[tiny]).sum(axis=1))[:, None]
         dense[tiny[::4]] *= 2.0**-580  # entries near 2^-1070
         dense[2000:2040] *= (2.0**-480 / np.abs(dense[2000:2040]).sum(axis=1))[:, None]
-        inst = build_instance(sp.csr_array(dense) if storage == "csr" else dense)
-        assert np.array_equal(np.flatnonzero(np.isinf(core._l1_norms(inst))), tiny)
+        csr = build_instance(sp.csr_array(dense))
+        assert np.array_equal(np.flatnonzero(np.isinf(core._l1_norms(csr))), tiny)
+        inst = csr if storage == "csr" else build_instance(dense)
         u = np.random.default_rng(5).standard_normal((40, 1000))
         u /= np.linalg.norm(u, axis=0)
         orders = []
@@ -498,18 +508,20 @@ class TestContainment:
 
         monkeypatch.setattr(core, "_row_blocks", recording_walk)
         self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
-        (order,) = orders  # one walk in norm order
-        assert np.array_equal(np.sort(order[: tiny.size]), tiny)
+        if storage == "csr":
+            (order,) = orders  # one walk in l1 order
+            assert np.array_equal(np.sort(order[: tiny.size]), tiny)
+        else:
+            assert orders == []
 
     @pytest.mark.parametrize("case", ["unit-rows-csr", "unit-rows-dense", "gaussian-dense"])
     def test_order_follows_the_holder_share(self, case, monkeypatch):
-        # The first-block probe counts the pairs that the walk's own bound,
-        # ||a_i||_1 ||u_j||_inf, keeps below the running maximum.  With
-        # certify's 1000 directions, the unit rows in R^3 of TestFloat32Screen
-        # give 0.126 of them, at least _NORM_ORDER_SHARE, and take norm
-        # order; gaussian-dense:2000x10 gives 0.053 and keeps storage order,
-        # where the float32 pass runs.  A probe by ||a_i||_2 ||u_j||_2 gives
-        # 0 and 0.38, the other way round.
+        # Storage alone picks the order, whatever share of a row block's
+        # pairs the walk's own bound ||a_i||_1 ||u_j||_inf keeps below the
+        # running maximum: with certify's 1000 directions, 0.126 of the first
+        # block's pairs on the unit rows in R^3 of TestFloat32Screen, 0.053
+        # on gaussian-dense:2000x10.  CSR walks in l1 order; dense A keeps
+        # storage order, where the float32 pass runs.
         name, _, storage = case.rpartition("-")
         if name == "unit-rows":
             dense = np.random.default_rng(3).standard_normal((400, 3))
@@ -521,7 +533,7 @@ class TestContainment:
         u /= np.linalg.norm(u, axis=0)
         walks = self.count_norm_order_walks(monkeypatch)
         self.assert_exhaustive(inst, u, core._column_maxima(inst, u))
-        if name == "unit-rows":
+        if storage == "csr":
             assert walks["count"] == 1
         else:
             assert walks["count"] == 0
@@ -599,18 +611,16 @@ class TestFloat32Screen:
             *(f"scales-1e30-seed{seed}" for seed in range(4)),
         ],
     )
-    def test_error_bound(self, case, monkeypatch):
+    def test_error_bound(self, case):
         if case.startswith("scales-1e30"):
             # Column scales drawn from logspace(-30, 30); odd seeds also
-            # normalize the rows.  Unit rows would take norm order, so those
-            # seeds pin storage order, where the float32 pass runs.
+            # normalize the rows.
             seed = int(case[-1])
             rng = np.random.default_rng(seed)
             dense = rng.standard_normal((3000, 10))
             dense *= rng.choice(np.logspace(-30, 30, 61), 10)
             if seed % 2:
                 dense /= np.linalg.norm(dense, axis=1)[:, None]
-                monkeypatch.setattr(core, "_NORM_ORDER_SHARE", np.inf)
             u = rng.standard_normal((10, 1000))
         else:
             dense, u, _ = TestContainment.column_maxima_case(case)
@@ -661,14 +671,12 @@ class TestFloat32Screen:
     def test_out_of_float32_range_takes_the_exact_pass(self, case, monkeypatch):
         # Entries float32 cannot hold cast to inf or to zero.  The screen
         # then decides nothing, quietly, and every sample takes the exact
-        # pass.  Unit rows would take norm order, so storage order, where
-        # the float32 pass runs, is pinned.
-        monkeypatch.setattr(core, "_NORM_ORDER_SHARE", np.inf)
+        # pass.
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((400, 3))
         dense /= np.linalg.norm(dense, axis=1)[:, None]
         if case == "huge-column":
-            dense[200] = [1.2e154, 0.0, 1.0]  # huge.mtx's column, past the first block
+            dense[200] = [1.2e154, 0.0, 1.0]  # huge.mtx's column
         elif case == "near-1e39":
             dense *= 1e39
         elif case == "near-1e-46":

@@ -1,10 +1,11 @@
 """The memory contract of README "Memory", one cell per command and storage,
-and one ``certify`` cell on dense rows that containment walks by l1 norm.
+and one ``certify`` cell on rows with spread norms, stored dense and as CSR.
 
 Each bound is the contract's formula: what a call may hold beyond ``A``, the
 row-pair operator ``P`` (built before the measurement) and the sketched
 solver's ``s x m`` draw.  That is one scratch block of ``_BLOCK_ELEMENTS``
-floats (two for containment, which gathers rows in norm order), a few
+floats (two for containment: a float32 block and an exact one on dense
+``A``, gathered rows and their product on CSR), a few
 ``m``-float iterate and accumulator arrays, and ``O(n^2 + n * samples)``.
 The one exception is the Gram of CSR whose rows are too dense for ``P``,
 which builds ``sqrt(W) A`` and ``B^T B`` every sweep: about twice ``A``.
@@ -12,6 +13,7 @@ which builds ``sqrt(W) A`` and ``B^T B`` every sweep: about twice ``A``.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import peak_bytes
 from johnellip import (
@@ -54,7 +56,8 @@ def contract(command, inst):
         return 1.1 * matrix_bytes(inst)
     bound = BLOCK + 8 * (M_FLOATS * m + 8 * n * n)
     if command == "certify":
-        # A second block for rows gathered in norm order, and the directions.
+        # A second block (dense A's exact pass after its float32 one, or the
+        # gathered rows of CSR's walk in l1 order) and the directions.
         bound += BLOCK + 8 * 4 * n * SAMPLES
     if command == "sketched":
         # sketched_solve allocates its draw; on CSR each product copies rows of it.
@@ -94,16 +97,14 @@ def test_command_keeps_the_contract(command, storage, tmp_path):
 
 
 def test_certify_in_holder_order_keeps_the_contract(monkeypatch):
-    # Dense rows with one dominant coordinate and norms spread over 100x:
-    # the probe picks norm order, whose l1 norms of dense rows are taken a
-    # block at a time: 2.1 MiB against a bound of 4.5 MiB, which an m x n
-    # temporary (6.1 MiB) breaks.
+    # Rows with one dominant coordinate and norms spread over 100x.  Stored
+    # dense, they take the float32 pass and no walk; stored as CSR, the walk
+    # in l1 order, whose bounds and order are O(m).
     rng = np.random.default_rng(0)
     m, n = 20000, 40
     dense = 0.01 * rng.standard_normal((m, n))
     dense[np.arange(m), rng.integers(0, n, m)] += 1.0
     dense *= np.logspace(-1, 1, m)[rng.permutation(m), None]
-    inst = build_instance(dense)
     walks = []
     l1_norms = core._l1_norms
 
@@ -112,7 +113,10 @@ def test_certify_in_holder_order_keeps_the_contract(monkeypatch):
         return l1_norms(inst)
 
     monkeypatch.setattr(core, "_l1_norms", recording)
-    _, peak = peak_bytes(lambda: COMMANDS["certify"](inst))
-    assert walks == [m]  # the walk in l1 order ran
-    bound = contract("certify", inst)
-    assert peak <= bound, f"{peak / 2**20:.2f} MiB, contract {bound / 2**20:.2f} MiB"
+    for storage, expected in (("dense", []), ("csr", [m])):
+        inst = build_instance(dense if storage == "dense" else sp.csr_array(dense))
+        walks.clear()
+        _, peak = peak_bytes(lambda: COMMANDS["certify"](inst))
+        assert walks == expected, storage  # CSR alone walks, once
+        bound = contract("certify", inst)
+        assert peak <= bound, f"{storage}: {peak / 2**20:.2f} MiB, contract {bound / 2**20:.2f} MiB"
