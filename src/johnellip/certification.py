@@ -298,6 +298,28 @@ def _is_flat(w: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
     return float(sigma[support].min()) >= 1.0 - tol
 
 
+def _choose_step(n: int, w: np.ndarray, sigma: np.ndarray) -> tuple[int, float]:
+    """Row ``j`` and exact step ``tau`` of the next coordinate move: toward
+    the row with the largest score, or away from the worst supported row
+    when that gains more, clamped at its bound."""
+    jmax = int(np.argmax(sigma))
+    d_add = n * float(sigma[jmax])
+    tau_add = (d_add - n) / (n * (d_add - 1.0))
+    supported = w > 0.0
+    if np.count_nonzero(supported) > 1:
+        jmin = int(np.argmin(np.where(supported, sigma, np.inf)))
+        d_away = n * float(sigma[jmin])
+        if d_away < n and n > w[jmin]:
+            bound = -w[jmin] / (n - w[jmin])
+            if d_away > 1.0:
+                tau_away = max((d_away - n) / (n * (d_away - 1.0)), bound)
+            else:
+                tau_away = bound
+            if _step_gain(n, tau_away, d_away) > _step_gain(n, tau_add, d_add):
+                return jmin, tau_away
+    return jmax, tau_add
+
+
 def oracle_solve(
     inst: PolytopeInstance, tol: float = 1e-6, max_iters: int = 200_000
 ) -> OracleSolution:
@@ -310,11 +332,15 @@ def oracle_solve(
     bound so weights can reach exactly zero.  Stops once an exactly
     recomputed score vector is flat: ``max sigma <= 1 + tol`` and
     ``sigma >= 1 - tol`` on every supported row (weight above
-    ``SUPPORT_THRESHOLD``).  The score vector and Gram inverse are updated
-    rank-one per step; they are recomputed from a fresh factorization at the
-    top of the loop whenever they are stale: every few hundred steps, before
-    a flat or final state is trusted, after the ``n == 1`` jump to a vertex
-    and after a rank-one update whose pivot drifted.
+    ``SUPPORT_THRESHOLD``).
+
+    The outer loop takes the exact state, the scores and Gram inverse of a
+    fresh factorization, and alone decides to stop or to raise.  The inner
+    loop updates that state rank-one per step and hands back to the outer
+    one every few hundred steps, once the step budget is spent or the
+    updated scores look flat (so only exact data is trusted), after the
+    ``n == 1`` jump to a vertex and after a rank-one update whose pivot
+    drifted.
 
     Raises :class:`NoConvergenceError` when ``max_iters`` steps were not
     enough.
@@ -324,79 +350,50 @@ def oracle_solve(
 
     m, n = inst.m, inst.n
     w = np.full(m, n / m)
-    stale = True
     steps = 0
     while True:
-        fresh = stale
-        if stale:
-            # The one exact state: scores and a writable copy of Q^{-1},
-            # which the steps below update in place.
-            quad, sigma = _graded(inst, w)
-            inv = quad.inverse.copy()
-            stale = False
-        flat = _is_flat(w, sigma, tol)
-        if flat or steps >= max_iters:
-            if not fresh:
-                stale = True
-                continue
-            if flat:
-                break
+        quad, sigma = _graded(inst, w)
+        if _is_flat(w, sigma, tol):
+            break
+        if steps >= max_iters:
             raise NoConvergenceError(max_iters, float(sigma.max()))
-        steps += 1
+        # A writable copy of Q^{-1}, which the steps below update in place.
+        inv = quad.inverse.copy()
+        while True:
+            steps += 1
+            j, tau = _choose_step(n, w, sigma)
+            if tau >= 1.0:
+                # n == 1 only: the exact step jumps to the vertex outright.
+                w = np.zeros(m)
+                w[j] = float(n)
+                break
 
-        jmax = int(np.argmax(sigma))
-        smax = float(sigma[jmax])
-        d_add = n * smax
-        tau_add = (d_add - n) / (n * (d_add - 1.0))
-        gain_add = _step_gain(n, tau_add, d_add)
-        j, tau = jmax, tau_add
-
-        supported = w > 0.0
-        if np.count_nonzero(supported) > 1:
-            jmin = int(np.argmin(np.where(supported, sigma, np.inf)))
-            d_away = n * float(sigma[jmin])
-            if d_away < n and n > w[jmin]:
-                bound = -w[jmin] / (n - w[jmin])
-                if d_away > 1.0:
-                    tau_away = max((d_away - n) / (n * (d_away - 1.0)), bound)
-                else:
-                    tau_away = bound
-                if _step_gain(n, tau_away, d_away) > gain_add:
-                    j, tau = jmin, tau_away
-
-        if tau >= 1.0:
-            # n == 1 only: the exact step jumps to the vertex outright.
-            w = np.zeros(m)
-            w[j] = float(n)
-            stale = True
-            continue
-
-        a_j = inst.row_dense(j)
-        c = inv @ a_j
-        p = inst.matrix @ c
-        beta = tau * n / (1.0 - tau)
-        den = 1.0 + beta * float(p[j])
-        if not math.isfinite(den) or den <= 0.0:
-            # Rank-one drift produced an unusable pivot: retry from exact data.
-            steps -= 1
-            stale = True
-            continue
-        factor = beta / den
-        # In place, in the order of (inv - factor c c^T) / (1 - tau) and
-        # (sigma - (factor p) p) / (1 - tau); inv stays exactly symmetric.
-        update = np.outer(c, c)
-        update *= factor
-        inv -= update
-        inv /= 1.0 - tau
-        drop = factor * p
-        drop *= p
-        sigma -= drop
-        sigma /= 1.0 - tau
-        w *= 1.0 - tau
-        w[j] += tau * n
-        if tau < 0.0 and w[j] < 1e-15:
-            w[j] = 0.0
-        stale = steps % _REFRESH_EVERY == 0
+            a_j = inst.row_dense(j)
+            c = inv @ a_j
+            p = inst.matrix @ c
+            beta = tau * n / (1.0 - tau)
+            den = 1.0 + beta * float(p[j])
+            if not math.isfinite(den) or den <= 0.0:
+                # Rank-one drift produced an unusable pivot: retry from exact data.
+                steps -= 1
+                break
+            factor = beta / den
+            # In place, in the order of (inv - factor c c^T) / (1 - tau) and
+            # (sigma - (factor p) p) / (1 - tau); inv stays exactly symmetric.
+            update = np.outer(c, c)
+            update *= factor
+            inv -= update
+            inv /= 1.0 - tau
+            drop = factor * p
+            drop *= p
+            sigma -= drop
+            sigma /= 1.0 - tau
+            w *= 1.0 - tau
+            w[j] += tau * n
+            if tau < 0.0 and w[j] < 1e-15:
+                w[j] = 0.0
+            if steps % _REFRESH_EVERY == 0 or steps >= max_iters or _is_flat(w, sigma, tol):
+                break
 
     w = w * (n / w.sum())
     quad, sigma = _graded(inst, w)

@@ -6,9 +6,11 @@ column rank, stored dense row-major or as CSR, float64, and immutable once
 validated (:func:`build_instance`, :func:`_adopt`).  This module owns:
 
 * the weighted Gram ``Q(w) = sum_i w_i a_i a_i^T``, its Cholesky factor and
-  the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i``, one factorization per
-  weight vector (:class:`EllipsoidQuadratic`, :func:`_graded`,
-  :func:`leverage_scores`);
+  the scores ``sigma_i(w) = a_i^T Q(w)^{-1} a_i``.  Every grade of ``w``,
+  the public :func:`leverage_scores` included, is one
+  :func:`cholesky_of_weighted_gram` read by :func:`_graded`, and every
+  reader of ``L^{-1}`` or ``Q^{-1}`` takes it from that factor's
+  :class:`EllipsoidQuadratic`;
 * every pass over ``A``.  :func:`_row_blocks` alone cuts ``A`` into row
   blocks within the scratch budget ``_BLOCK_ELEMENTS``, reduced per row by
   :func:`_row_norms` or per column by :func:`_column_maxima` and
@@ -157,16 +159,20 @@ class _Pairs(NamedTuple):
 class EllipsoidQuadratic:
     """SPD quadratic ``Q`` defining the ellipsoid ``{x : x^T Q x <= 1}``.
 
-    ``L`` is the lower Cholesky factor of ``Q`` and ``logdet`` equals
-    ``2 * sum(log(diag(L)))`` by construction.  ``inv_l`` (``L^{-1}``) and
-    ``inverse`` (``Q^{-1} = L^{-T} L^{-1}``) are formed on first use, once
-    per factor, and kept read-only; everything that grades one weight
-    vector reads them from here.
+    ``L`` is the lower Cholesky factor of ``Q``.  ``logdet``
+    (``2 * sum(log(diag(L)))``), ``inv_l`` (``L^{-1}``) and ``inverse``
+    (``Q^{-1} = L^{-T} L^{-1}``) are formed on first use, once per factor,
+    so a solver sweep pays for none it does not read; the arrays are kept
+    read-only.  Nothing else inverts ``L``: the scores (:func:`_graded`),
+    the sketched sweep and the oracle's refresh read them from here.
     """
 
     Q: np.ndarray
     L: np.ndarray
-    logdet: float
+
+    @cached_property
+    def logdet(self) -> float:
+        return 2.0 * float(np.sum(np.log(np.diag(self.L))))
 
     @cached_property
     def inv_l(self) -> np.ndarray:
@@ -367,7 +373,7 @@ def _pair_operator(a: sp.csr_array) -> _Pairs | None:
 
     Row i holds the products ``a_ij a_ik`` (j <= k) of its own nonzeros at
     column ``j*n + k``, ``nnz_i (nnz_i + 1) / 2`` entries, so a weighted Gram
-    is one sparse mat-vec and so is every score (see :func:`_scores`).
+    is one sparse mat-vec and so is every score (see :func:`_graded`).
     Returns None when ``P`` would hold more than ``_PAIRS_PER_NONZERO`` entries
     per nonzero of A; such rows stay on the row-block path.
     """
@@ -424,12 +430,15 @@ def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = N
 
     Without ``order`` the blocks are ``A[start:stop]`` in storage order: a
     dense block is a view of ``A``, and a CSR block shares ``A``'s data and
-    indices and gets its own shifted ``indptr`` (scipy's row slicing copies
-    all three, which at containment's 1000-sample blocks of 131 rows costs a
-    tenth of the pass).  With ``order``, an array of valid row indices of
-    CSR ``A``, the blocks are ``A[order[start:stop]]``, gathered through
-    their ``indptr`` runs into new arrays of the block's nonzeros alone, so
-    no permuted copy of ``A`` is made.
+    indices and gets its own shifted ``indptr``.  scipy's row slicing copies
+    all three: a :func:`_row_norms` pass over ``sparse-bernoulli:50000x40``
+    cut by ``a[start:stop]`` took 14-22 against 11-18 ms at 40 columns and
+    density 0.3 (the scores above the pair cut), and 16-22 against 14-19 ms
+    at 160 columns and density 0.05 (a sketched sweep), medians of 15 runs
+    in four interleaved rounds on a 2-vCPU VM.  With ``order``, an array of
+    valid row indices of CSR ``A``, the blocks are ``A[order[start:stop]]``,
+    gathered through their ``indptr`` runs into new arrays of the block's
+    nonzeros alone, so no permuted copy of ``A`` is made.
     """
     a = inst.matrix
     m = inst.m if order is None else order.size
@@ -457,16 +466,12 @@ def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = N
 
 
 def _product(block, right: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``block @ right`` for a block of :func:`_row_blocks`.
-
-    A dense product is written into the leading ``rows x k`` elements of the
-    walker's scratch ``out`` (``right`` may have fewer columns than the
-    width the walk was cut for); a CSR product is a new array.
-    """
+    """``block @ right`` for a block of :func:`_row_blocks` cut for
+    ``right.shape[1]`` columns: a dense product is written into the walker's
+    scratch ``out``, a CSR product is a new array."""
     if out is None:
         return block @ right
-    k = right.shape[1]
-    return np.matmul(block, right, out=out.reshape(-1)[: block.shape[0] * k].reshape(-1, k))
+    return np.matmul(block, right, out=out)
 
 
 def _left_product(inst: PolytopeInstance, left: np.ndarray) -> np.ndarray:
@@ -674,15 +679,7 @@ def cholesky_of_weighted_gram(inst: PolytopeInstance, w) -> EllipsoidQuadratic:
     a pivot of ``Q`` scaled to unit diagonal, ``L_kk^2 / Q_kk``, falls at or
     below ``GRAM_PIVOT_FLOOR``; the test does not depend on column scale.
     """
-    q, lower = _factor(inst, validate_weights(w, inst.m))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return EllipsoidQuadratic(Q=_lock(q), L=_lock(lower), logdet=logdet)
-
-
-def _factor(inst: PolytopeInstance, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Q(w)`` and its lower Cholesky factor for validated weights, as
-    :func:`cholesky_of_weighted_gram` documents them, with no logdet, lock
-    or :class:`EllipsoidQuadratic`: ``leverage_scores`` needs only ``L``."""
+    w = validate_weights(w, inst.m)
     pairs = inst._pairs
     if pairs is not None:
         q = (pairs.op_t @ w)[pairs.mirror].reshape(inst.n, inst.n)
@@ -708,35 +705,28 @@ def _factor(inst: PolytopeInstance, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"weighted Gram pivot {k} is {scaled_pivots[k]:.3e} of its diagonal, "
             f"at or below floor {GRAM_PIVOT_FLOOR:.0e}"
         )
-    return q, lower
-
-
-def _scores(inst: PolytopeInstance, inv_l: np.ndarray) -> np.ndarray:
-    """The scores ``sigma_i = a_i^T Q^{-1} a_i`` read off ``L^{-1}``: the one
-    score formula, behind :func:`_graded` and :func:`leverage_scores`.
-
-    CSR with sparse rows forms ``Q^{-1} = L^{-T} L^{-1}`` (a syrk, as
-    ``EllipsoidQuadratic.inverse`` forms it) and reads every score off it
-    as one mat-vec ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}``
-    and its off-diagonal doubled: O(sum_i nnz_i^2).  Its rounding error is
-    of the order of the error the Gram's own rounding puts into the scores;
-    a quadratic form can still dip below zero where a squared norm cannot,
-    so the result is clipped at zero.  Other input takes the squared row
-    norms of ``A L^{-T}`` from the streamed pass :func:`_row_norms`:
-    O(m n^2) dense, O(nnz n) sparse, with no copy of A.
-    """
-    pairs = inst._pairs
-    if pairs is None:
-        return _row_norms(inst, np.ascontiguousarray(inv_l.T))
-    sigma = pairs.op @ np.multiply(inv_l.T @ inv_l, pairs.double).ravel()
-    return np.maximum(sigma, 0.0, out=sigma)
+    return EllipsoidQuadratic(Q=_lock(q), L=_lock(lower))
 
 
 def _graded(inst: PolytopeInstance, w) -> tuple[EllipsoidQuadratic, np.ndarray]:
     """The one factorization of ``Q(w)`` behind every grade of ``w``, and the
-    scores read from it by :func:`_scores`."""
+    scores ``sigma_i = a_i^T Q^{-1} a_i`` read off it: the one score formula.
+
+    CSR with sparse rows reads every score off ``quad.inverse`` as one
+    mat-vec ``P vec(U)``, with ``U`` the upper triangle of ``Q^{-1}`` and its
+    off-diagonal doubled: O(sum_i nnz_i^2).  Its rounding error is of the
+    order of the error the Gram's own rounding puts into the scores; a
+    quadratic form can still dip below zero where a squared norm cannot, so
+    the result is clipped at zero.  Other input takes the squared row norms
+    of ``A L^{-T}`` (``quad.inv_l``) from the streamed pass
+    :func:`_row_norms`: O(m n^2) dense, O(nnz n) sparse, with no copy of A.
+    """
     quad = cholesky_of_weighted_gram(inst, w)
-    return quad, _scores(inst, quad.inv_l)
+    pairs = inst._pairs
+    if pairs is None:
+        return quad, _row_norms(inst, np.ascontiguousarray(quad.inv_l.T))
+    sigma = pairs.op @ np.multiply(quad.inverse, pairs.double).ravel()
+    return quad, np.maximum(sigma, 0.0, out=sigma)
 
 
 def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
@@ -744,8 +734,7 @@ def leverage_scores(inst: PolytopeInstance, w) -> np.ndarray:
 
     ``w_i * sigma_i(w)`` is the leverage score of row i of ``sqrt(W) A``;
     those products lie in [0, 1] and sum to n for any valid weights.
-    The scores are those of :func:`_graded`, from the same factor, without
-    the :class:`EllipsoidQuadratic` a solver sweep would throw away.
+    These are :func:`_graded`'s scores, from one
+    :func:`cholesky_of_weighted_gram` of ``w``; the factor is dropped.
     """
-    _, lower = _factor(inst, validate_weights(w, inst.m))
-    return _scores(inst, np.linalg.inv(lower))
+    return _graded(inst, w)[1]

@@ -32,6 +32,7 @@ from johnellip import (
     duality_gap,
     fixed_point_solve,
     generate,
+    leverage_scores,
     oracle_solve,
     parse_generator_spec,
     sketched_solve,
@@ -887,6 +888,7 @@ class TestOneFactorizationPerWeightVector:
         "containment_check": (lambda inst, w, ref: containment_check(inst, w, 100), 1, 1),
         "duality_gap": (lambda inst, w, ref: duality_gap(inst, w), 1, 1),
         "duality_gap_with_oracle": (lambda inst, w, ref: duality_gap(inst, w, ref), 2, 1),
+        "leverage_scores": (lambda inst, w, ref: leverage_scores(inst, w), 1, 1),
         "volume_ratio": (lambda inst, w, ref: volume_ratio(inst, w, ref.weights), 2, 1),
     }
 

@@ -438,8 +438,8 @@ def _instance(matrix, storage):
     ids=["dense", "csr-pairs", "csr-row-blocks"],
 )
 def test_leverage_scores_are_the_graded_scores(storage, zero_fraction, pairs):
-    # leverage_scores skips the EllipsoidQuadratic that _graded keeps; both
-    # read the scores off the same factor through core._scores, bit for bit.
+    # leverage_scores returns _graded's scores and drops its
+    # EllipsoidQuadratic; both read one factor the same way, bit for bit.
     inst = _instance(_sparse_rows(3000, 9, zero_fraction, seed=8), storage)
     assert (inst._pairs is not None) == pairs
     w = np.random.default_rng(9).uniform(0.1, 2.0, 3000)
