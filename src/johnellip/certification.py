@@ -244,7 +244,7 @@ def _containment(
             decided &= outer <= n + CONTAINMENT_SLACK
         undecided = np.flatnonzero(~decided)
         if undecided.size:
-            exact = _column_maxima(inst, u if undecided.size == samples else u[:, undecided])
+            exact = _column_maxima(inst, u[:, undecided])
             upper[undecided] = lower[undecided] = exact
 
     inner_violations = int(np.count_nonzero(upper / scale > 1.0 + CONTAINMENT_SLACK))

@@ -465,15 +465,6 @@ def _row_blocks(inst: PolytopeInstance, width: int, order: np.ndarray | None = N
         yield start, sp.csr_array(parts, shape=(stop - start, a.shape[1])), None
 
 
-def _product(block, right: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``block @ right`` for a block of :func:`_row_blocks` cut for
-    ``right.shape[1]`` columns: a dense product is written into the walker's
-    scratch ``out``, a CSR product is a new array."""
-    if out is None:
-        return block @ right
-    return np.matmul(block, right, out=out)
-
-
 def _left_product(inst: PolytopeInstance, left: np.ndarray) -> np.ndarray:
     """``left @ A`` for a dense ``k x m`` matrix ``left``, as a ``k x n`` array.
 
@@ -502,7 +493,7 @@ def _row_norms(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     """
     norms = np.empty(inst.m)
     for start, block, out in _row_blocks(inst, right.shape[1]):
-        x = _product(block, right, out)
+        x = block @ right if out is None else np.matmul(block, right, out=out)
         np.einsum("ij,ij->i", x, x, out=norms[start : start + x.shape[0]])
     return norms
 
@@ -565,7 +556,7 @@ def _column_maxima(inst: PolytopeInstance, right: np.ndarray) -> np.ndarray:
     maxima = np.zeros(samples)
     if not inst.is_sparse:
         for _, block, out in _row_blocks(inst, samples):
-            x = _product(block, right, out)
+            x = np.matmul(block, right, out=out)
             np.maximum(maxima, np.abs(x, out=x).max(axis=0), out=maxima)
         return maxima
     # Column j's bound on row i is bounds[i] * factor[j], Holder's ||a_i||_1 *

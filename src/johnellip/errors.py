@@ -41,11 +41,8 @@ class DomainError(JohnEllipsoidError, ValueError):
 class NoConvergenceError(JohnEllipsoidError):
     """Reference solver exhausted its iteration budget before reaching tol."""
 
-    def __init__(self, iterations: int, max_sigma: float | None = None):
-        detail = f"no convergence after {iterations} iterations"
-        if max_sigma is not None:
-            detail += f" (max score {max_sigma!r})"
-        super().__init__(detail)
+    def __init__(self, iterations: int, max_sigma: float):
+        super().__init__(f"no convergence after {iterations} iterations (max score {max_sigma!r})")
         self.iterations = iterations
         self.max_sigma = max_sigma
 

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 from .core import PolytopeInstance, _adopt
 from .errors import (
+    DimensionError,
     DomainError,
     GenerationFailedError,
     RankDeficientError,
@@ -104,11 +105,9 @@ def generate(spec: GeneratorSpec) -> PolytopeInstance:
                 return _adopt(rng.standard_normal((spec.m, spec.n)))
             mask = rng.random((spec.m, spec.n)) < spec.density
             values = np.where(mask, rng.standard_normal((spec.m, spec.n)), 0.0)
-            kept = values[mask.any(axis=1)]
-            if kept.shape[0] < spec.n:
-                continue
-            return _adopt(sp.csr_array(kept))
-        except (RankDeficientError, ZeroRowError):
+            # _adopt raises DimensionError when fewer than n rows survive.
+            return _adopt(sp.csr_array(values[mask.any(axis=1)]))
+        except (DimensionError, RankDeficientError, ZeroRowError):
             continue
     raise GenerationFailedError(
         f"{spec.family} with m={spec.m}, n={spec.n}, seed={spec.seed} kept "

@@ -67,6 +67,9 @@ _SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # goes to the per-line parser, which reads it as it is.
 _NUMPY_DECOMPRESSES = (".bz2", ".gz", ".lzma", ".xz")
 
+# write_matrix_market formats at most this many entries per write.
+_WRITE_ENTRIES = 1 << 16
+
 
 def _tokens(text: str, lineno: int, count: int, what: str) -> list[str]:
     parts = text.split()
@@ -229,19 +232,28 @@ def write_matrix_market(path, inst: PolytopeInstance) -> None:
 
     CSR entries are written in storage order, which is row-major with sorted
     columns: every instance's CSR arrays were canonicalized when it was
-    built (:func:`~johnellip.core._adopt`).
+    built (:func:`~johnellip.core._adopt`).  Entries are formatted and
+    written at most ``_WRITE_ENTRIES`` at a time, so the text held in memory
+    does not grow with ``A``: CSR by row ranges of ``_WRITE_ENTRIES // n``
+    rows, dense column by column.
     """
     with open(path, "w", encoding="ascii") as handle:
+        a = inst.matrix
         if inst.is_sparse:
-            matrix = inst.matrix.tocoo()
             handle.write("%%MatrixMarket matrix coordinate real general\n")
-            handle.write(f"{inst.m} {inst.n} {matrix.nnz}\n")
-            rows = (matrix.row + 1).tolist()
-            cols = (matrix.col + 1).tolist()
-            vals = matrix.data.tolist()
-            handle.write("".join([f"{i} {j} {v:.17g}\n" for i, j, v in zip(rows, cols, vals)]))
+            handle.write(f"{inst.m} {inst.n} {a.nnz}\n")
+            step = max(1, _WRITE_ENTRIES // inst.n)
+            for start in range(0, inst.m, step):
+                stop = min(start + step, inst.m)
+                ptr = a.indptr[start : stop + 1]
+                rows = np.repeat(np.arange(start + 1, stop + 1), np.diff(ptr))
+                cols, vals = a.indices[ptr[0] : ptr[-1]] + 1, a.data[ptr[0] : ptr[-1]]
+                entries = zip(rows.tolist(), cols.tolist(), vals.tolist())
+                handle.write("".join([f"{i} {j} {v:.17g}\n" for i, j, v in entries]))
         else:
             handle.write("%%MatrixMarket matrix array real general\n")
             handle.write(f"{inst.m} {inst.n}\n")
-            values = inst.matrix.ravel(order="F").tolist()
-            handle.write("".join([f"{v:.17g}\n" for v in values]))
+            for column in a.T:
+                for start in range(0, inst.m, _WRITE_ENTRIES):
+                    values = column[start : start + _WRITE_ENTRIES].tolist()
+                    handle.write("".join([f"{v:.17g}\n" for v in values]))

@@ -129,6 +129,25 @@ class TestRandomFamilies:
         assert np.array_equal(first.matrix.indices, second.matrix.indices)
         assert np.array_equal(first.matrix.data, second.matrix.data)
 
+    def test_too_few_kept_rows_retry_with_the_next_draw(self):
+        # This seed's first draw keeps fewer than 3 nonempty rows, so the
+        # instance cannot be built (m >= n); the second keeps enough and
+        # builds.  The instance is that second draw, read on from the same
+        # stream, and a second generate repeats it byte for byte.
+        rng = np.random.default_rng(14)
+        kept = []
+        for _ in range(2):
+            mask = rng.random((6, 3)) < 0.2
+            values = np.where(mask, rng.standard_normal((6, 3)), 0.0)
+            kept.append(values[mask.any(axis=1)])
+        assert kept[0].shape[0] < 3 <= kept[1].shape[0]
+        spec = parse_generator_spec("sparse-bernoulli:6x3:density=0.2:seed=14")
+        first, second = generate(spec), generate(spec)
+        assert first.is_sparse
+        assert np.array_equal(first.toarray(), kept[1])
+        for name in ("indptr", "indices", "data"):
+            assert getattr(first.matrix, name).tobytes() == getattr(second.matrix, name).tobytes()
+
     def test_sparse_bernoulli_gives_up(self):
         # 5x3 at density 0.01 cannot plausibly keep 3 nonempty rows of rank 3
         # within the retry budget.

@@ -1,5 +1,6 @@
 """The memory contract of README "Memory", one cell per command and storage,
-and one ``certify`` cell on rows with spread norms, stored dense and as CSR.
+one ``certify`` cell on rows with spread norms, stored dense and as CSR, and
+one on dense rows whose every sample takes the exact pass.
 
 Each bound is the contract's formula: what a call may hold beyond ``A``, the
 row-pair operator ``P`` (built before the measurement) and the sketched
@@ -9,6 +10,7 @@ floats (two for containment: a float32 block and an exact one on dense
 ``m``-float iterate and accumulator arrays, and ``O(n^2 + n * samples)``.
 The one exception is the Gram of CSR whose rows are too dense for ``P``,
 which builds ``sqrt(W) A`` and ``B^T B`` every sweep: about twice ``A``.
+Writing a Matrix Market file holds one chunk of formatted entries.
 """
 
 import numpy as np
@@ -28,12 +30,13 @@ from johnellip import (
     sketched_solve,
     write_matrix_market,
 )
-from johnellip import core
+from johnellip import certification, core, mmio
 
 BLOCK = 8 * core._BLOCK_ELEMENTS
 M_FLOATS = 8  # iterates, scores and accumulators, each m float64
 SKETCH_ROWS = 40
 SAMPLES = 1000
+WRITE_ENTRY_BYTES = 192  # one entry's line, its string and its Python numbers
 
 STORAGES = {
     "dense": "gaussian-dense:10000x20",
@@ -54,6 +57,9 @@ def contract(command, inst):
         # The array layout is parsed column by column and copied once into
         # row-major order, so reading it holds about one more A.
         return 1.1 * matrix_bytes(inst)
+    if command == "write":
+        # The text of one chunk of entries, however large A is.
+        return WRITE_ENTRY_BYTES * mmio._WRITE_ENTRIES
     bound = BLOCK + 8 * (M_FLOATS * m + 8 * n * n)
     if command == "certify":
         # A second block (dense A's exact pass after its float32 one, or the
@@ -80,12 +86,16 @@ COMMANDS = {
 CELLS = [(command, storage) for command in COMMANDS for storage in STORAGES]
 
 
-@pytest.mark.parametrize("command, storage", CELLS + [("read", "dense")])
+@pytest.mark.parametrize(
+    "command, storage", CELLS + [("read", "dense")] + [("write", storage) for storage in STORAGES]
+)
 def test_command_keeps_the_contract(command, storage, tmp_path):
     inst = generate(parse_generator_spec(STORAGES[storage]))
     assert (inst._pairs is not None) == (storage == "csr-pairs")  # P is built here
-    if command == "read":
-        path = tmp_path / "a.mtx"
+    path = tmp_path / "a.mtx"
+    if command == "write":
+        _, peak = peak_bytes(lambda: write_matrix_market(path, inst))
+    elif command == "read":
         write_matrix_market(path, inst)
         back, peak = peak_bytes(lambda: read_matrix_market(path))
         assert np.array_equal(back.matrix, inst.matrix)
@@ -120,3 +130,23 @@ def test_certify_in_holder_order_keeps_the_contract(monkeypatch):
         assert walks == expected, storage  # CSR alone walks, once
         bound = contract("certify", inst)
         assert peak <= bound, f"{storage}: {peak / 2**20:.2f} MiB, contract {bound / 2**20:.2f} MiB"
+
+
+def test_certify_with_every_sample_undecided_keeps_the_contract(monkeypatch):
+    # One column beyond float32's range: the float32 screen decides no
+    # sample, and the exact pass takes a copy of every direction.
+    dense = generate(parse_generator_spec(STORAGES["dense"])).toarray()
+    dense[:, 0] *= 1e39
+    inst = build_instance(dense)
+    widths = []
+    column_maxima = certification._column_maxima
+
+    def recording(inst, right):
+        widths.append(right.shape[1])
+        return column_maxima(inst, right)
+
+    monkeypatch.setattr(certification, "_column_maxima", recording)
+    _, peak = peak_bytes(lambda: COMMANDS["certify"](inst))
+    assert widths == [SAMPLES]
+    bound = contract("certify", inst)
+    assert peak <= bound, f"{peak / 2**20:.2f} MiB, contract {bound / 2**20:.2f} MiB"
